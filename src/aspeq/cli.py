@@ -34,7 +34,7 @@ from .approximations import (
     spread_tolerance,
 )
 from .curves import CurveError, ExponentialNormalized
-from .delegation import choose_by_aspiration, desiderata_report, update_target
+from .delegation import desiderata_report, update_target
 from .dominance import (
     dominance_implications,
     exponential_chain,
@@ -43,8 +43,8 @@ from .dominance import (
 )
 from .duality import aspiration_equivalent, certain_equivalent, effective_gamma, exponential_or_linear
 from .numerics import NumericsError, QuadratureSpec
-from .scenarios import Scenario, ScenarioError, load_scenario
-from .selection import allocation_sums, evaluate_matrix, find_pure_saddle, saddle_allocate
+from .scenarios import Scenario, ScenarioError, _number, load_scenario
+from .selection import allocate_eu_matrix, allocation_sums, evaluate_matrix, find_pure_saddle
 
 COMMANDS = (
     "eval",
@@ -100,8 +100,10 @@ def _published_block(scenario: Scenario, out: _Out) -> None:
         if not isinstance(entry, dict) or "key" not in entry or "value" not in entry:
             raise ScenarioError(f"published[{i}]: expected an object with key and value")
         key = entry["key"]
-        value = float(entry["value"])
+        value = _number(entry["value"], f"published[{i}].value")
         tolerance = entry.get("tolerance")
+        if tolerance is not None:
+            tolerance = _number(tolerance, f"published[{i}].tolerance")
         if key not in out.computed:
             skipped += 1
             continue
@@ -120,18 +122,17 @@ def _published_block(scenario: Scenario, out: _Out) -> None:
             )
             record["status"] = "reported"
         else:
-            tol = float(tolerance)
-            status = "OK" if diff <= tol else "DIFFERS"
+            status = "OK" if diff <= tolerance else "DIFFERS"
             out.line(
                 f"  {key}: published {_fmt(value)} computed {_fmt(got)} "
-                f"difference {_fmt(diff)} tolerance {_fmt(tol)} {status}"
+                f"difference {_fmt(diff)} tolerance {_fmt(tolerance)} {status}"
             )
             if status == "DIFFERS":
                 out.line(
                     f"  warning: {key} is off the published value by "
-                    f"{_fmt(diff)}, beyond tolerance {_fmt(tol)}"
+                    f"{_fmt(diff)}, beyond tolerance {_fmt(tolerance)}"
                 )
-            record["tolerance"] = _jnum(tol)
+            record["tolerance"] = _jnum(tolerance)
             record["status"] = status
         comparisons.append(record)
     if skipped:
@@ -156,10 +157,7 @@ def _need(scenario: Scenario, key: str) -> Any:
 
 
 def _param_number(scenario: Scenario, key: str) -> float:
-    raw = _need(scenario, key)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ScenarioError(f"{key}: expected a number, got {raw!r}")
-    return float(raw)
+    return _number(_need(scenario, key), key)
 
 
 def _cmd_eval(scenario: Scenario, args: argparse.Namespace) -> _Out:
@@ -222,7 +220,7 @@ def _gamma_grid(scenario: Scenario, args: argparse.Namespace) -> list[float]:
         raw = scenario.params["gammas"]
         if not isinstance(raw, list) or not raw:
             raise ScenarioError("gammas: expected a nonempty list of numbers")
-        return [float(g) for g in raw]
+        return [_number(g, f"gammas[{k}]") for k, g in enumerate(raw)]
     if "gamma_range" in scenario.params:
         raw = scenario.params["gamma_range"]
         if not isinstance(raw, list) or len(raw) != 2:
@@ -230,7 +228,7 @@ def _gamma_grid(scenario: Scenario, args: argparse.Namespace) -> list[float]:
         n = args.grid if args.grid is not None else 21
         if n < 2:
             raise ScenarioError(f"--grid must be at least 2 for a range, got {n}")
-        g0, g1 = float(raw[0]), float(raw[1])
+        g0, g1 = _number(raw[0], "gamma_range[0]"), _number(raw[1], "gamma_range[1]")
         return [g0 + (g1 - g0) * k / (n - 1) for k in range(n)]
     raise ScenarioError("sweep needs either gammas or gamma_range in the scenario")
 
@@ -386,8 +384,8 @@ def _cmd_allocate(scenario: Scenario, args: argparse.Namespace) -> _Out:
     unames = scenario.utility_names()
     lotteries = [nc.curve for nc in scenario.lotteries]
     utilities = [nc.curve for nc in scenario.utilities]
-    allocation = saddle_allocate(lotteries, utilities, spec)
     matrix = evaluate_matrix(lotteries, utilities, spec)
+    allocation = allocate_eu_matrix(matrix.eu)
     sum_ce, sum_ae, sum_eu = allocation_sums(allocation, matrix)
 
     out = _Out()
@@ -657,12 +655,13 @@ def _cmd_delegate(scenario: Scenario, args: argparse.Namespace) -> _Out:
     fnames = scenario.lottery_names()
     utility = scenario.utilities[0].curve
     report = desiderata_report(lotteries, utility, fractile, spec)
-    aspiration = choose_by_aspiration(lotteries, utility, spec)
+    # that rule's agent is the delegate choosing by aspiration targets
+    aspiration = next(r for r in report.rules if r.rule == "aspiration_equivalent")
 
     out = _Out()
     out.line(f"principal's choice by expected utility: {fnames[report.principal_choice]}")
     out.line(
-        f"delegate's choice by aspiration targets: {fnames[aspiration.index]}"
+        f"delegate's choice by aspiration targets: {fnames[aspiration.agent_choice]}"
     )
     out.row("rule", "lottery", "target", "exceedance")
     doc_rules = []
@@ -689,7 +688,7 @@ def _cmd_delegate(scenario: Scenario, args: argparse.Namespace) -> _Out:
     out.computed["principal_choice"] = float(report.principal_choice)
     out.doc = {
         "principal_choice": fnames[report.principal_choice],
-        "aspiration_choice": fnames[aspiration.index],
+        "aspiration_choice": fnames[aspiration.agent_choice],
         "rules": doc_rules,
     }
     return out

@@ -22,8 +22,8 @@ from .curves import Curve
 from .duality import (
     DomainMismatchError,
     aspiration_equivalent,
-    certain_equivalent,
     effective_gamma,
+    evaluate_pair,
     exceedance_probability,
     expected_utility,
     exponential_or_linear,
@@ -153,12 +153,15 @@ def desiderata_report(
     every lottery, so it cannot separate them at all; the certain
     equivalent can order lotteries differently from expected utility; the
     aspiration equivalent agrees with the principal by construction.
+    Each lottery is evaluated once; the principal's EU and the two
+    equivalent rules all read that one result.
     """
     if len(lotteries) < 2:
         raise ValueError("need at least two lotteries to compare target rules")
     if not 0.0 < fractile < 1.0:
         raise ValueError(f"fractile must be inside (0, 1), got {fractile!r}")
-    principal = choose_by_eu(lotteries, utility, spec)
+    pairs = [evaluate_pair(f, utility, spec) for f in lotteries]
+    principal = _argmax([r.expected_utility for r in pairs])
 
     def outcome(rule: str, targets: list[float]) -> RuleOutcome:
         exceed = [exceedance_probability(f, t) for f, t in zip(lotteries, targets)]
@@ -176,13 +179,7 @@ def desiderata_report(
         principal_choice=principal,
         rules=(
             outcome("fractile", [f.quantile(fractile) for f in lotteries]),
-            outcome(
-                "certain_equivalent",
-                [certain_equivalent(f, utility, spec) for f in lotteries],
-            ),
-            outcome(
-                "aspiration_equivalent",
-                [aspiration_equivalent(f, utility, spec) for f in lotteries],
-            ),
+            outcome("certain_equivalent", [r.certain_equivalent for r in pairs]),
+            outcome("aspiration_equivalent", [r.aspiration_equivalent for r in pairs]),
         ),
     )

@@ -24,8 +24,8 @@ import numpy as np
 from .curves import Curve, StepFunctionError
 from .duality import (
     DomainMismatchError,
-    aspiration_equivalent,
-    certain_equivalent,
+    _aspiration_from,
+    evaluate_pair,
     expected_disutility,
     expected_utility,
     exponential_or_linear,
@@ -144,13 +144,13 @@ def dominance_implications(
         )
     margins = []
     for f in test_lotteries:
+        # not evaluate_pair: a step utility has an EU and EDU but no CE
         edu_a = expected_disutility(f, A, spec)
         edu_b = expected_disutility(f, B, spec)
         margins.append(
             LotteryMargins(
                 edu_margin=edu_a - edu_b,
-                ae_margin=aspiration_equivalent(f, A, spec)
-                - aspiration_equivalent(f, B, spec),
+                ae_margin=_aspiration_from(f, edu_a) - _aspiration_from(f, edu_b),
                 eu_margin=expected_utility(f, B, spec) - expected_utility(f, A, spec),
             )
         )
@@ -184,17 +184,15 @@ def exponential_chain(
     A = exponential_or_linear(F.lo, F.hi, gamma_a)
     B = exponential_or_linear(F.lo, F.hi, gamma_b)
     xs = _grid(A, B, grid_points)
-    pointwise = float(
-        min(B.value(float(x)) - A.value(float(x)) for x in xs)
-    )
+    pointwise = float(min(B.value(float(x)) - A.value(float(x)) for x in xs))
+    a, b = evaluate_pair(F, A, spec), evaluate_pair(F, B, spec)
     return ChainReport(
         gamma_a=gamma_a,
         gamma_b=gamma_b,
         pointwise_margin=pointwise,
-        eu_margin=expected_utility(F, B, spec) - expected_utility(F, A, spec),
-        ae_margin=aspiration_equivalent(F, A, spec)
-        - aspiration_equivalent(F, B, spec),
-        ce_margin=certain_equivalent(F, A, spec) - certain_equivalent(F, B, spec),
+        eu_margin=b.expected_utility - a.expected_utility,
+        ae_margin=a.aspiration_equivalent - b.aspiration_equivalent,
+        ce_margin=a.certain_equivalent - b.certain_equivalent,
     )
 
 

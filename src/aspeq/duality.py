@@ -10,9 +10,11 @@ with density u. Then
     certain_equivalent   CE  = U^-1(EU)
     aspiration_equivalent AE = F^-1(EDU)
 
-Integration by parts gives EU + EDU = 1; this module never uses that
-identity as a shortcut (EDU always gets its own integral), so the sum is a
-genuine numerical cross-check. A second consequence worth naming: the
+EU and EDU are one integral, density of one curve against the value of
+the other, with the roles of F and U swapped; the dual problem is exactly
+that swap. Integration by parts gives EU + EDU = 1; this module never uses
+that identity as a shortcut (EDU always gets its own integral), so the sum
+is a genuine numerical cross-check. A second consequence worth naming: the
 probability of exceeding the aspiration equivalent, 1 - F(AE), equals EU.
 Maximizing exceedance over lotteries is therefore the same decision as
 maximizing expected utility; delegation builds on exactly that.
@@ -20,8 +22,8 @@ maximizing expected utility; delegation builds on exactly that.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cache
 
 from .curves import (
     Curve,
@@ -68,92 +70,89 @@ def _require_shared_domain(lottery: Curve, utility: Curve) -> None:
         )
 
 
-def _clip_unit(p: float, slack: float = 1e-9) -> float:
-    """Snap quadrature roundoff at the ends of [0,1]; anything further out
-    is a real error, not noise."""
-    if -slack <= p < 0.0:
-        return 0.0
-    if 1.0 < p <= 1.0 + slack:
-        return 1.0
-    if 0.0 <= p <= 1.0:
-        return p
-    raise ArithmeticError(f"expected a probability, got {p!r}")
+def _pair_integral(
+    weight: Curve, curve: Curve, spec: QuadratureSpec | None, weight_role: str
+) -> float:
+    """Integral of weight's density times curve's value over the shared
+    interval: EU is (lottery, utility), EDU is (utility, lottery).
+
+    Step shortcuts: a step weight at t puts all its mass on t, giving
+    curve(t); a step curve at t is 1 above t, giving 1 - weight(t).
+    """
+    if weight.is_step and curve.is_step:
+        raise StepFunctionError("both curves are steps; the pairing is degenerate")
+    if weight.is_step:
+        return curve.value(weight.threshold)
+    if curve.is_step:
+        return 1.0 - weight.value(curve.threshold)
+    if weight.has_singular_density:
+        raise SingularDensityError(
+            f"{weight.kind} {weight_role} density is unbounded at an endpoint and "
+            "is not integrated directly; the role-swapped integral (expected_utility "
+            "<-> expected_disutility) integrates its bounded CDF instead."
+        )
+    knots = merge_knots(
+        weight.kinks(), curve.kinks(), weight.sample_hints(), curve.sample_hints()
+    )
+    return integrate(
+        lambda x: weight.density(x) * curve.value(x), weight.lo, weight.hi, spec, knots
+    )
+
+
+def _invert(curve: Curve, p: float) -> float:
+    """curve^-1(p) for an integrated EU or EDU. Quadrature roundoff up to
+    1e-9 past an end of [0,1] is snapped; anything further out is a real
+    error, not noise."""
+    if -1e-9 <= p < 0.0:
+        p = 0.0
+    elif 1.0 < p <= 1.0 + 1e-9:
+        p = 1.0
+    elif not 0.0 <= p <= 1.0:
+        raise ArithmeticError(f"expected a probability, got {p!r}")
+    return curve.quantile(p)
+
+
+def _certain_from(utility: Curve, eu: float) -> float:
+    if utility.is_step:
+        raise StepFunctionError(
+            "certain equivalent under a step utility is degenerate: the "
+            "inverse is a single point whenever EU is strictly inside (0,1)"
+        )
+    return _invert(utility, eu)
+
+
+def _aspiration_from(lottery: Curve, edu: float) -> float:
+    if lottery.is_step:
+        raise StepFunctionError(
+            "aspiration equivalent of a step lottery is degenerate; the "
+            "lottery is the sure amount at its threshold"
+        )
+    return _invert(lottery, edu)
 
 
 def expected_utility(
     lottery: Curve, utility: Curve, spec: QuadratureSpec | None = None
 ) -> float:
-    """Integral of lottery density times utility value.
-
-    Step shortcuts: a step lottery at t is the sure amount t, so EU = U(t);
-    a step utility at t pays off only above t, so EU = 1 - F(t).
-    """
+    """Integral of lottery density times utility value. A step lottery at
+    t gives U(t); a step utility at t gives 1 - F(t)."""
     _require_shared_domain(lottery, utility)
-    if lottery.is_step and utility.is_step:
-        raise StepFunctionError("both curves are steps; the pairing is degenerate")
-    if lottery.is_step:
-        return utility.value(lottery.threshold)
-    if utility.is_step:
-        return 1.0 - lottery.value(utility.threshold)
-    if lottery.has_singular_density:
-        raise SingularDensityError(
-            f"{lottery.kind} lottery density is unbounded at an endpoint; "
-            "expected_utility integrates it directly. Use expected_disutility "
-            "(which integrates the bounded CDF) for such lotteries."
-        )
-    knots = merge_knots(
-        lottery.kinks(), utility.kinks(), lottery.sample_hints(), utility.sample_hints()
-    )
-    return integrate(
-        lambda x: lottery.density(x) * utility.value(x),
-        lottery.lo,
-        lottery.hi,
-        spec,
-        knots,
-    )
+    return _pair_integral(lottery, utility, spec, "lottery")
 
 
 def expected_disutility(
     lottery: Curve, utility: Curve, spec: QuadratureSpec | None = None
 ) -> float:
-    """Integral of utility density times lottery value (the mirror of
-    expected_utility with the two roles swapped)."""
+    """Integral of utility density times lottery value: expected_utility
+    with the two roles swapped, integrated on its own."""
     _require_shared_domain(lottery, utility)
-    if lottery.is_step and utility.is_step:
-        raise StepFunctionError("both curves are steps; the pairing is degenerate")
-    if utility.is_step:
-        return lottery.value(utility.threshold)
-    if lottery.is_step:
-        return 1.0 - utility.value(lottery.threshold)
-    if utility.has_singular_density:
-        raise SingularDensityError(
-            f"{utility.kind} utility density is unbounded at an endpoint; "
-            "expected_disutility integrates it directly. Use expected_utility "
-            "for such utilities."
-        )
-    knots = merge_knots(
-        lottery.kinks(), utility.kinks(), lottery.sample_hints(), utility.sample_hints()
-    )
-    return integrate(
-        lambda x: utility.density(x) * lottery.value(x),
-        lottery.lo,
-        lottery.hi,
-        spec,
-        knots,
-    )
+    return _pair_integral(utility, lottery, spec, "utility")
 
 
 def certain_equivalent(
     lottery: Curve, utility: Curve, spec: QuadratureSpec | None = None
 ) -> float:
     """Sure amount with the same utility as the lottery: U^-1(EU)."""
-    if utility.is_step:
-        raise StepFunctionError(
-            "certain equivalent under a step utility is degenerate: the "
-            "inverse is a single point whenever EU is strictly inside (0,1)"
-        )
-    eu = _clip_unit(expected_utility(lottery, utility, spec))
-    return utility.quantile(eu)
+    return _certain_from(utility, expected_utility(lottery, utility, spec))
 
 
 def aspiration_equivalent(
@@ -161,13 +160,7 @@ def aspiration_equivalent(
 ) -> float:
     """Outcome level whose step utility matches the pair's expected
     utility: F^-1(EDU). Exceeding it has probability exactly EU."""
-    if lottery.is_step:
-        raise StepFunctionError(
-            "aspiration equivalent of a step lottery is degenerate; the "
-            "lottery is the sure amount at its threshold"
-        )
-    edu = _clip_unit(expected_disutility(lottery, utility, spec))
-    return lottery.quantile(edu)
+    return _aspiration_from(lottery, expected_disutility(lottery, utility, spec))
 
 
 def exceedance_probability(lottery: Curve, x: float) -> float:
@@ -178,20 +171,17 @@ def exceedance_probability(lottery: Curve, x: float) -> float:
 def evaluate_pair(
     lottery: Curve, utility: Curve, spec: QuadratureSpec | None = None
 ) -> DualityResult:
-    """All four quantities. EDU is integrated independently of EU, so the
-    sum-to-one identity stays an observable check on the result."""
-    if lottery.is_step or utility.is_step:
-        raise StepFunctionError(
-            "evaluate_pair needs both equivalents; use the individual "
-            "functions for step curves"
-        )
+    """All four quantities from one EU and one EDU integral. EDU is
+    integrated independently of EU, so the sum-to-one identity stays an
+    observable check on the result. A step curve has no certain or
+    aspiration equivalent, so either step is refused."""
     eu = expected_utility(lottery, utility, spec)
     edu = expected_disutility(lottery, utility, spec)
     return DualityResult(
         expected_utility=eu,
         expected_disutility=edu,
-        certain_equivalent=utility.quantile(_clip_unit(eu)),
-        aspiration_equivalent=lottery.quantile(_clip_unit(edu)),
+        certain_equivalent=_certain_from(utility, eu),
+        aspiration_equivalent=_aspiration_from(lottery, edu),
     )
 
 
@@ -226,6 +216,7 @@ def effective_gamma(
             "target sits in a zero-mass tail"
         )
 
+    @cache  # find_root starts from the bracket ends already evaluated here
     def gap(g: float) -> float:
         u = exponential_or_linear(lo, hi, g)
         return expected_disutility(lottery, u, spec) - p

@@ -25,14 +25,16 @@ Curve kinds and their parameter names:
     piecewise_linear         knots: [[x, value], ...]
 
 Any other key on a curve entry (besides name/kind/role_hint) is rejected,
-as is any malformed value; errors carry the JSON path of the offending
-field. An optional "published" list of {"label", "value", "tolerance",
-...selector keys} rides along for comparison blocks in CLI output.
+as is any malformed or non-finite value; errors carry the JSON path of
+the offending field. An optional "published" list of {"key", "value",
+"tolerance"} entries rides along for the comparison block in CLI output:
+key names a computed quantity (e.g. "eu:f1:u1"), tolerance is optional.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -105,8 +107,9 @@ def _by_name(entries: tuple[NamedCurve, ...], name: str, which: str) -> Curve:
 
 
 def _number(obj: Any, path: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ScenarioError(f"{path}: expected a number, got {obj!r}")
+    # json reads NaN and Infinity as floats; no parameter accepts them
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not math.isfinite(obj):
+        raise ScenarioError(f"{path}: expected a finite number, got {obj!r}")
     return float(obj)
 
 

@@ -5,10 +5,14 @@ evaluate_matrix fills the four quantity matrices (EU, EDU, CE, AE) over a
 lottery list crossed with a utility list. Read as a zero-sum game on the
 EU matrix, the lottery side picks rows to raise EU and the utility side
 picks columns to lower it; a pure saddle is a cell that is at once a
-column maximum and a row minimum. saddle_allocate matches N lotteries to
-N utilities by repeatedly pairing the current saddle cell and deleting
-its row and column, with a maximin fallback (flagged, never silent) when
-a stage has no pure saddle.
+column maximum and a row minimum. A cell's EU and EDU are duality's one
+pair integral with the roles swapped, each integrated once per cell.
+
+Allocation runs on an EU matrix: allocate_eu_matrix matches N lotteries
+to N utilities by repeatedly pairing the current saddle cell and
+deleting its row and column, with a maximin fallback (flagged, never
+silent) when a stage has no pure saddle. Hand it an EvalMatrix's eu;
+saddle_allocate integrates that matrix first.
 """
 
 from __future__ import annotations
@@ -173,31 +177,34 @@ def saddle_allocate(
     utilities: list[Curve],
     spec: QuadratureSpec | None = None,
 ) -> Allocation:
-    """Match lotteries to utilities by repeated saddle extraction.
+    """allocate_eu_matrix on the EU matrix of lotteries x utilities."""
+    eu = [[expected_utility(f, u, spec) for u in utilities] for f in lotteries]
+    return allocate_eu_matrix(eu)
 
-    Stage k finds the pure saddle of the EU matrix restricted to the
+
+def allocate_eu_matrix(
+    eu: list[list[float]] | tuple[tuple[float, ...], ...]
+) -> Allocation:
+    """Match rows (lotteries) to columns (utilities) of a square EU matrix.
+
+    Stage k finds the pure saddle of the matrix restricted to the
     still-unmatched rows and columns, records that pair, and removes its
     row and column. A stage without a pure saddle falls back to the
     maximin row paired with its minimizing column and is flagged in the
     diagnostics.
     """
-    if not lotteries or not utilities:
-        raise ValueError("need at least one lottery and one utility")
-    if len(lotteries) != len(utilities):
+    if not eu or len(eu) != len(eu[0]):
         raise ValueError(
-            f"allocation needs equal counts, got {len(lotteries)} lotteries "
-            f"and {len(utilities)} utilities"
+            "allocation needs equally many lotteries and utilities, at least one "
+            f"each; got {len(eu)} lotteries and {len(eu[0]) if eu else 0} utilities"
         )
-    full = [
-        [expected_utility(f, u, spec) for u in utilities] for f in lotteries
-    ]
-    live_rows = list(range(len(lotteries)))
-    live_cols = list(range(len(utilities)))
+    live_rows = list(range(len(eu)))
+    live_cols = list(range(len(eu)))
     pairs: list[tuple[int, int, float]] = []
     diagnostics: list[StageDiagnostic] = []
     stage = 0
     while live_rows:
-        sub = [[full[i][j] for j in live_cols] for i in live_rows]
+        sub = [[eu[i][j] for j in live_cols] for i in live_rows]
         found = find_pure_saddle(sub)
         if found.exists:
             i, j = live_rows[found.row], live_cols[found.col]
@@ -207,7 +214,7 @@ def saddle_allocate(
             r = max(range(len(sub)), key=lambda k: (min(sub[k]), -k))
             c = min(range(len(sub[r])), key=lambda k: (sub[r][k], k))
             i, j = live_rows[r], live_cols[c]
-        pairs.append((i, j, full[i][j]))
+        pairs.append((i, j, eu[i][j]))
         diagnostics.append(
             StageDiagnostic(
                 stage=stage,

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -328,3 +329,90 @@ class TestFileOutputs:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestNumberValidation:
+    """Malformed and non-finite numbers are bad input: exit 2, with the
+    JSON path of the offending field. json reads NaN and Infinity."""
+
+    @staticmethod
+    def rejected(tmp_path, capsys, command, obj, path):
+        code, text = run(command, "--scenario", write_scenario(tmp_path, obj))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert text == ""
+        assert f"error: {path}:" in err
+
+    def test_nan_curve_parameter(self, tmp_path, capsys):
+        obj = dict(BASIC)
+        obj["lotteries"] = [dict(BASIC["lotteries"][0], alpha=math.nan)]
+        self.rejected(tmp_path, capsys, "eval", obj, "lotteries[0].alpha")
+
+    def test_infinite_curve_parameter(self, tmp_path, capsys):
+        obj = dict(BASIC, utilities=[{"name": "log", "kind": "log_wealth", "w": math.inf}])
+        self.rejected(tmp_path, capsys, "eval", obj, "utilities[0].w")
+
+    def test_nan_knot(self, tmp_path, capsys):
+        knots = [[0.0, 0.0], [0.5, math.nan], [1.0, 1.0]]
+        obj = dict(BASIC, lotteries=[{"name": "p", "kind": "piecewise_linear", "knots": knots}])
+        self.rejected(tmp_path, capsys, "eval", obj, "lotteries[0].knots[1][1]")
+
+    def test_infinite_domain(self, tmp_path, capsys):
+        obj = dict(BASIC, domain={"lo": 0.0, "hi": math.inf})
+        self.rejected(tmp_path, capsys, "eval", obj, "domain.hi")
+
+    def test_nan_target(self, tmp_path, capsys):
+        self.rejected(tmp_path, capsys, "solve-gamma", dict(BASIC, target=math.nan), "target")
+
+    def test_null_in_gammas(self, tmp_path, capsys):
+        self.rejected(tmp_path, capsys, "sweep", dict(BASIC, gammas=[1, None]), "gammas[1]")
+
+    def test_infinite_gamma_range(self, tmp_path, capsys):
+        obj = dict(BASIC, gamma_range=[0.0, math.inf])
+        self.rejected(tmp_path, capsys, "sweep", obj, "gamma_range[1]")
+
+    def test_string_published_value(self, tmp_path, capsys):
+        obj = dict(BASIC, published=[{"key": "eu:beta23:exp2", "value": "abc"}])
+        self.rejected(tmp_path, capsys, "eval", obj, "published[0].value")
+
+    def test_nan_published_tolerance(self, tmp_path, capsys):
+        entry = {"key": "eu:beta23:exp2", "value": 0.5, "tolerance": math.nan}
+        self.rejected(tmp_path, capsys, "eval", dict(BASIC, published=[entry]), "published[0].tolerance")
+
+    def test_published_value_checked_when_skipped(self, tmp_path, capsys):
+        # an entry this command does not produce is still validated
+        obj = dict(BASIC, published=[{"key": "no_such_key", "value": True}])
+        self.rejected(tmp_path, capsys, "eval", obj, "published[0].value")
+
+
+class TestIntegralsPerCommand:
+    """Each (lottery, utility) pair is integrated once per command: one EU
+    and one EDU at most, counted at the pair integral's quadrature call."""
+
+    @pytest.mark.parametrize(
+        "command,fixture,integrals",
+        [
+            # 3 x 3 EU and EDU for the matrix; allocation reads its EU
+            ("allocate", "table2", 18),
+            # 3 lotteries, one EU and one EDU each
+            ("delegate", "table2", 6),
+            # 3 lotteries x (implications + exponential chain) x 4
+            ("dominance", "table2", 24),
+            # bracket ends once each, the root iterations, the achieved check
+            ("solve-gamma", "paper_sec4", 11),
+        ],
+    )
+    def test_integral_count(self, monkeypatch, command, fixture, integrals):
+        import aspeq.duality as duality
+
+        calls = []
+        integrate = duality.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(duality, "integrate", counting)
+        code, _ = run(command, "--scenario", str(FIXTURES / f"{fixture}.json"))
+        assert code == 0
+        assert len(calls) == integrals

@@ -210,3 +210,24 @@ class TestEqualAreas:
     def test_step_rejected(self):
         with pytest.raises(StepFunctionError):
             first_moment_by_equal_areas(Step(0.0, 1.0, threshold=0.3))
+
+
+class TestStepUtilityImplications:
+    def test_step_utility_margins_computed(self):
+        # a step utility has an EU and an EDU against each lottery but no
+        # certain equivalent; the implications need only the former
+        report = dominance_implications(
+            Step(0.0, 1.0, threshold=1.0),
+            Linear(0.0, 1.0),
+            [ScaledBeta(0.0, 1.0, alpha=2.0, beta=3.0)],
+        )
+        assert len(report.per_lottery) == 1
+        assert report.all_hold
+
+    def test_step_lottery_has_no_aspiration_margin(self):
+        with pytest.raises(StepFunctionError, match="step lottery"):
+            dominance_implications(
+                ExponentialNormalized(0.0, 1.0, gamma=0.5),
+                ExponentialNormalized(0.0, 1.0, gamma=4.0),
+                [Step(0.0, 1.0, threshold=0.5)],
+            )

@@ -290,3 +290,52 @@ class TestExponentialOrLinear:
     def test_cap_constant_consistency(self):
         with pytest.raises(Exception):
             exponential_or_linear(0.0, 1.0, GAMMA_SPAN_CAP + 1.0)
+
+
+class TestRoleSwap:
+    """EDU is EU with the roles of lottery and utility swapped: one
+    integral, computed on its own for each side."""
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:  # the exception type is part of the outcome
+            return type(exc)
+
+    def test_edu_is_eu_swapped_bit_for_bit(self, catalog):
+        lotteries, utilities = catalog
+        # a singular density and a step exercise the refusals and shortcuts
+        extras = [ScaledBeta(0.0, 1.0, alpha=0.5, beta=0.5), Step(0.0, 1.0, threshold=0.5)]
+        for F in list(lotteries) + extras:
+            for U in list(utilities) + extras:
+                edu = self._outcome(expected_disutility, F, U)
+                swapped = self._outcome(expected_utility, U, F)
+                assert edu == swapped, (F, U)
+                assert type(edu) is type(swapped)
+
+    def test_neither_side_calls_the_other(self, monkeypatch):
+        # each public function integrates on its own, so a per-name call
+        # count is a count of integrals
+        import aspeq.duality as duality
+
+        F = ScaledBeta(0.0, 1.0, alpha=2.0, beta=3.0)
+        U = ExponentialNormalized(0.0, 1.0, gamma=2.0)
+        want_eu, want_edu = expected_utility(F, U), expected_disutility(F, U)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called through the other public name")
+
+        monkeypatch.setattr(duality, "expected_disutility", refuse)
+        assert duality.expected_utility(F, U) == want_eu
+        monkeypatch.setattr(duality, "expected_disutility", expected_disutility)
+        monkeypatch.setattr(duality, "expected_utility", refuse)
+        assert duality.expected_disutility(F, U) == want_edu
+
+    def test_singular_message_points_at_the_swap(self):
+        with pytest.raises(SingularDensityError, match="utility density .*expected_utility"):
+            expected_disutility(Linear(0.0, 1.0), ScaledBeta(0.0, 1.0, alpha=0.5, beta=0.5))
+
+    def test_domain_message_names_lottery_and_utility(self):
+        with pytest.raises(DomainMismatchError, match=r"lottery domain \[0.0, 1.0\]"):
+            expected_disutility(Uniform(0.0, 1.0), Linear(0.0, 2.0))
