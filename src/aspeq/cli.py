@@ -23,6 +23,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import asdict
 from typing import Any, Callable, TextIO
 
 from .approximations import (
@@ -44,34 +45,38 @@ from .dominance import (
 from .duality import aspiration_equivalent, certain_equivalent, effective_gamma, exponential_or_linear
 from .numerics import NumericsError, QuadratureSpec
 from .scenarios import Scenario, ScenarioError, _number, load_scenario
-from .selection import allocate_eu_matrix, allocation_sums, evaluate_matrix, find_pure_saddle
-
-COMMANDS = (
-    "eval",
-    "sweep",
-    "update-target",
-    "matrix",
-    "allocate",
-    "dominance",
-    "approx",
-    "solve-gamma",
-    "delegate",
-)
+from .selection import EvalMatrix, allocate_eu_matrix, allocation_sums, evaluate_matrix, find_pure_saddle
 
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _jnum(x: float) -> Any:
-    # strict JSON has no Infinity/NaN; 9 significant digits elsewhere
-    if math.isinf(x) or math.isnan(x):
-        return _fmt(x)
-    return float(_fmt(x))
+def _rounded(obj: Any) -> Any:
+    """The JSON form of a result document: every float to 9 significant
+    digits, and non-finite ones as strings (strict JSON has no
+    Infinity/NaN)."""
+    if isinstance(obj, float):
+        return float(_fmt(obj)) if math.isfinite(obj) else _fmt(obj)
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(v) for v in obj]
+    return obj
+
+
+def _cell(x: Any) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, bool):
+        return "yes" if x else "no"
+    return _fmt(x)
 
 
 class _Out:
-    """Accumulates the three output forms side by side."""
+    """Accumulates the three output forms side by side: text lines, CSV
+    rows, and a JSON document of raw values (rounded when written).
+    computed holds the quantities published values are compared against."""
 
     def __init__(self) -> None:
         self.lines: list[str] = []
@@ -82,8 +87,23 @@ class _Out:
     def line(self, text: str = "") -> None:
         self.lines.append(text)
 
-    def row(self, *cells: str) -> None:
-        self.csv_rows.append(list(cells))
+    def row(self, *cells: Any) -> None:
+        """Strings as given, booleans as yes/no, numbers at 9 significant digits."""
+        self.csv_rows.append([_cell(c) for c in cells])
+
+    def table_row(self, *cells: Any) -> None:
+        """A row printed and written to CSV alike."""
+        self.row(*cells)
+        self.line("  ".join(self.csv_rows[-1]))
+
+    def fields(self, **values: float) -> None:
+        """A field,value CSV table whose fields are also JSON keys and
+        published keys."""
+        self.row("field", "value")
+        for key, value in values.items():
+            self.row(key, value)
+        self.doc.update(values)
+        self.computed.update(values)
 
 
 def _published_block(scenario: Scenario, out: _Out) -> None:
@@ -111,9 +131,9 @@ def _published_block(scenario: Scenario, out: _Out) -> None:
         diff = abs(got - value)
         record: dict[str, Any] = {
             "key": key,
-            "published": _jnum(value),
-            "computed": _jnum(got),
-            "difference": _jnum(diff),
+            "published": value,
+            "computed": got,
+            "difference": diff,
         }
         if tolerance is None:
             out.line(
@@ -132,7 +152,7 @@ def _published_block(scenario: Scenario, out: _Out) -> None:
                     f"  warning: {key} is off the published value by "
                     f"{_fmt(diff)}, beyond tolerance {_fmt(tolerance)}"
                 )
-            record["tolerance"] = _jnum(tolerance)
+            record["tolerance"] = tolerance
             record["status"] = status
         comparisons.append(record)
     if skipped:
@@ -160,17 +180,33 @@ def _param_number(scenario: Scenario, key: str) -> float:
     return _number(_need(scenario, key), key)
 
 
-def _cmd_eval(scenario: Scenario, args: argparse.Namespace) -> _Out:
+_MATRIX_KEYS = ("eu", "edu", "ce", "ae")
+
+
+def _evaluated(
+    scenario: Scenario, args: argparse.Namespace, command: str
+) -> tuple[_Out, EvalMatrix]:
+    """Every lottery x utility pair, with each cell published as
+    <eu|edu|ce|ae>:<lottery>:<utility>."""
     if not scenario.lotteries or not scenario.utilities:
-        raise ScenarioError("eval needs at least one lottery and one utility")
-    spec = _quad_spec(args)
+        raise ScenarioError(f"{command} needs at least one lottery and one utility")
     matrix = evaluate_matrix(
         [nc.curve for nc in scenario.lotteries],
         [nc.curve for nc in scenario.utilities],
-        spec,
+        _quad_spec(args),
     )
     out = _Out()
-    header = (
+    for key in _MATRIX_KEYS:
+        cells = getattr(matrix, key)
+        for i, fn in enumerate(scenario.lottery_names()):
+            for j, un in enumerate(scenario.utility_names()):
+                out.computed[f"{key}:{fn}:{un}"] = cells[i][j]
+    return out, matrix
+
+
+def _cmd_eval(scenario: Scenario, args: argparse.Namespace) -> _Out:
+    out, matrix = _evaluated(scenario, args, "eval")
+    out.table_row(
         "lottery",
         "utility",
         "expected_utility",
@@ -179,39 +215,24 @@ def _cmd_eval(scenario: Scenario, args: argparse.Namespace) -> _Out:
         "certain_equivalent",
         "aspiration_equivalent",
     )
-    out.row(*header)
-    out.line("  ".join(header))
     pairs = []
     for i, fn in enumerate(scenario.lottery_names()):
         for j, un in enumerate(scenario.utility_names()):
-            eu = matrix.eu[i][j]
-            edu = matrix.edu[i][j]
-            ce = matrix.ce[i][j]
-            ae = matrix.ae[i][j]
-            cells = (fn, un, _fmt(eu), _fmt(edu), _fmt(eu + edu), _fmt(ce), _fmt(ae))
-            out.row(*cells)
-            out.line("  ".join(cells))
-            out.computed[f"eu:{fn}:{un}"] = eu
-            out.computed[f"edu:{fn}:{un}"] = edu
-            out.computed[f"ce:{fn}:{un}"] = ce
-            out.computed[f"ae:{fn}:{un}"] = ae
+            eu, edu, ce, ae = matrix.eu[i][j], matrix.edu[i][j], matrix.ce[i][j], matrix.ae[i][j]
+            out.table_row(fn, un, eu, edu, eu + edu, ce, ae)
             pairs.append(
                 {
                     "lottery": fn,
                     "utility": un,
-                    "expected_utility": _jnum(eu),
-                    "expected_disutility": _jnum(edu),
-                    "certain_equivalent": _jnum(ce),
-                    "aspiration_equivalent": _jnum(ae),
+                    "expected_utility": eu,
+                    "expected_disutility": edu,
+                    "certain_equivalent": ce,
+                    "aspiration_equivalent": ae,
                 }
             )
-    worst = max(
-        abs(matrix.eu[i][j] + matrix.edu[i][j] - 1.0)
-        for i in range(len(matrix.lotteries))
-        for j in range(len(matrix.utilities))
-    )
+    worst = max(abs(p["expected_utility"] + p["expected_disutility"] - 1.0) for p in pairs)
     out.line(f"largest |EU + EDU - 1|: {_fmt(worst)}")
-    out.doc = {"pairs": pairs, "max_identity_error": _jnum(worst)}
+    out.doc = {"pairs": pairs, "max_identity_error": worst}
     return out
 
 
@@ -241,22 +262,14 @@ def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> _Out:
     spec = _quad_spec(args)
     f = scenario.lotteries[0].curve
     out = _Out()
-    out.row("gamma", "certain_equivalent", "aspiration_equivalent")
-    out.line("gamma  certain_equivalent  aspiration_equivalent")
+    out.table_row("gamma", "certain_equivalent", "aspiration_equivalent")
     rows = []
     for g in _gamma_grid(scenario, args):
         u = exponential_or_linear(scenario.lo, scenario.hi, g)
         ce = certain_equivalent(f, u, spec)
         ae = aspiration_equivalent(f, u, spec)
-        out.row(_fmt(g), _fmt(ce), _fmt(ae))
-        out.line(f"{_fmt(g)}  {_fmt(ce)}  {_fmt(ae)}")
-        rows.append(
-            {
-                "gamma": _jnum(g),
-                "certain_equivalent": _jnum(ce),
-                "aspiration_equivalent": _jnum(ae),
-            }
-        )
+        out.table_row(g, ce, ae)
+        rows.append({"gamma": g, "certain_equivalent": ce, "aspiration_equivalent": ae})
     out.doc = {"lottery": scenario.lotteries[0].name, "sweep": rows}
     return out
 
@@ -273,17 +286,9 @@ def _cmd_update_target(scenario: Scenario, args: argparse.Namespace) -> _Out:
     round_trip = abs(aspiration_equivalent(old, u, spec) - target)
     limit = 1e-5 * (scenario.hi - scenario.lo)
     verdict = "PASS" if round_trip <= limit else "FAIL"
+    rt = 1.0 / upd.effective_gamma if upd.effective_gamma != 0.0 else math.inf
 
     out = _Out()
-    rt = 1.0 / upd.effective_gamma if upd.effective_gamma != 0.0 else math.inf
-    out.computed = {
-        "effective_gamma": upd.effective_gamma,
-        "risk_tolerance": rt,
-        "new_target": upd.new_target,
-        "old_exceed_prob": upd.old_exceed_prob,
-        "new_exceed_prob": upd.new_exceed_prob,
-        "cumulative_at_old_target": 1.0 - upd.old_exceed_prob,
-    }
     out.line(f"old lottery {old_name}, target {_fmt(target)}")
     out.line(f"effective gamma: {_fmt(upd.effective_gamma)}")
     out.line(f"effective risk tolerance: {_fmt(rt)}")
@@ -293,86 +298,52 @@ def _cmd_update_target(scenario: Scenario, args: argparse.Namespace) -> _Out:
     )
     out.line(f"new lottery {new_name}, updated target: {_fmt(upd.new_target)}")
     out.line(f"exceedance probability: {_fmt(upd.old_exceed_prob)} -> {_fmt(upd.new_exceed_prob)}")
-    out.row("field", "value")
-    for key in (
-        "effective_gamma",
-        "risk_tolerance",
-        "new_target",
-        "old_exceed_prob",
-        "new_exceed_prob",
-    ):
-        out.row(key, _fmt(out.computed[key]))
-    out.doc = {
-        "old_lottery": old_name,
-        "new_lottery": new_name,
-        "old_target": _jnum(target),
-        "effective_gamma": _jnum(upd.effective_gamma),
-        "risk_tolerance": _jnum(rt),
-        "new_target": _jnum(upd.new_target),
-        "old_exceed_prob": _jnum(upd.old_exceed_prob),
-        "new_exceed_prob": _jnum(upd.new_exceed_prob),
-        "round_trip_error": _jnum(round_trip),
-        "round_trip": verdict,
-    }
+    out.doc = {"old_lottery": old_name, "new_lottery": new_name, "old_target": target}
+    out.fields(
+        effective_gamma=upd.effective_gamma,
+        risk_tolerance=rt,
+        new_target=upd.new_target,
+        old_exceed_prob=upd.old_exceed_prob,
+        new_exceed_prob=upd.new_exceed_prob,
+    )
+    out.doc.update(round_trip_error=round_trip, round_trip=verdict)
+    out.computed["cumulative_at_old_target"] = 1.0 - upd.old_exceed_prob
     return out
 
 
 def _cmd_matrix(scenario: Scenario, args: argparse.Namespace) -> _Out:
-    if not scenario.lotteries or not scenario.utilities:
-        raise ScenarioError("matrix needs at least one lottery and one utility")
-    spec = _quad_spec(args)
+    out, matrix = _evaluated(scenario, args, "matrix")
     fnames = scenario.lottery_names()
     unames = scenario.utility_names()
-    matrix = evaluate_matrix(
-        [nc.curve for nc in scenario.lotteries],
-        [nc.curve for nc in scenario.utilities],
-        spec,
-    )
-    out = _Out()
-    blocks = (
-        ("EU", matrix.eu, "eu"),
-        ("EDU", matrix.edu, "edu"),
-        ("CE", matrix.ce, "ce"),
-        ("AE", matrix.ae, "ae"),
-    )
-    doc: dict[str, Any] = {"lotteries": fnames, "utilities": unames}
-    for tag, cells, key in blocks:
-        out.line(tag)
-        out.line("  ".join(["lottery"] + unames))
-        out.row(tag)
-        out.row("lottery", *unames)
-        doc[key] = []
-        for i, fn in enumerate(fnames):
-            values = [cells[i][j] for j in range(len(unames))]
-            out.line("  ".join([fn] + [_fmt(v) for v in values]))
-            out.row(fn, *[_fmt(v) for v in values])
-            doc[key].append([_jnum(v) for v in values])
-            for j, un in enumerate(unames):
-                out.computed[f"{key}:{fn}:{un}"] = values[j]
+    out.doc = {"lotteries": fnames, "utilities": unames}
+    for key in _MATRIX_KEYS:
+        cells = getattr(matrix, key)
+        out.table_row(key.upper())
+        out.table_row("lottery", *unames)
+        for fn, values in zip(fnames, cells):
+            out.table_row(fn, *values)
+        out.doc[key] = cells
         out.line()
     saddle = find_pure_saddle([list(r) for r in matrix.eu])
-    out.computed["maximin"] = saddle.maximin
-    out.computed["minimax"] = saddle.minimax
-    doc["maximin"] = _jnum(saddle.maximin)
-    doc["minimax"] = _jnum(saddle.minimax)
+    out.computed["maximin"] = out.doc["maximin"] = saddle.maximin
+    out.computed["minimax"] = out.doc["minimax"] = saddle.minimax
     if saddle.exists:
         out.computed["saddle_value"] = saddle.value
         out.line(
             f"pure saddle of the EU matrix: ({fnames[saddle.row]}, "
             f"{unames[saddle.col]}) value {_fmt(saddle.value)}"
         )
-        doc["saddle"] = {
+        out.doc["saddle"] = {
             "lottery": fnames[saddle.row],
             "utility": unames[saddle.col],
-            "value": _jnum(saddle.value),
+            "value": saddle.value,
         }
     else:
         out.line(
             f"no pure saddle: maximin {_fmt(saddle.maximin)} < "
             f"minimax {_fmt(saddle.minimax)}"
         )
-        doc["saddle"] = None
-    out.doc = doc
+        out.doc["saddle"] = None
     return out
 
 
@@ -386,50 +357,35 @@ def _cmd_allocate(scenario: Scenario, args: argparse.Namespace) -> _Out:
     utilities = [nc.curve for nc in scenario.utilities]
     matrix = evaluate_matrix(lotteries, utilities, spec)
     allocation = allocate_eu_matrix(matrix.eu)
-    sum_ce, sum_ae, sum_eu = allocation_sums(allocation, matrix)
+    sums = dict(zip(("sum_ce", "sum_ae", "sum_eu"), allocation_sums(allocation, matrix)))
 
     out = _Out()
-    out.row("stage", "lottery", "utility", "eu", "pure_saddle", "maximin", "minimax")
-    stages = []
-    for (i, j, eu), diag in zip(allocation.pairs, allocation.stage_diagnostics):
-        kind = "pure saddle" if diag.pure_saddle else "no saddle, maximin fallback"
+    stages = [
+        {
+            "stage": diag.stage,
+            "lottery": fnames[i],
+            "utility": unames[j],
+            "eu": eu,
+            "pure_saddle": diag.pure_saddle,
+            "maximin": diag.maximin,
+            "minimax": diag.minimax,
+        }
+        for (i, j, eu), diag in zip(allocation.pairs, allocation.stage_diagnostics)
+    ]
+    out.row(*stages[0])  # the keys are the CSV header
+    for s in stages:
+        kind = "pure saddle" if s["pure_saddle"] else "no saddle, maximin fallback"
         out.line(
-            f"stage {diag.stage}: {kind}; pair ({fnames[i]}, {unames[j]}) "
-            f"eu {_fmt(eu)}; maximin {_fmt(diag.maximin)}, minimax {_fmt(diag.minimax)}"
+            f"stage {s['stage']}: {kind}; pair ({s['lottery']}, {s['utility']}) "
+            f"eu {_fmt(s['eu'])}; maximin {_fmt(s['maximin'])}, minimax {_fmt(s['minimax'])}"
         )
-        out.row(
-            str(diag.stage),
-            fnames[i],
-            unames[j],
-            _fmt(eu),
-            "yes" if diag.pure_saddle else "no",
-            _fmt(diag.maximin),
-            _fmt(diag.minimax),
-        )
-        out.computed[f"stage{diag.stage}_saddle_value"] = eu
-        stages.append(
-            {
-                "stage": diag.stage,
-                "lottery": fnames[i],
-                "utility": unames[j],
-                "eu": _jnum(eu),
-                "pure_saddle": diag.pure_saddle,
-                "maximin": _jnum(diag.maximin),
-                "minimax": _jnum(diag.minimax),
-            }
-        )
-    out.line(f"sum of certain equivalents: {_fmt(sum_ce)}")
-    out.line(f"sum of aspiration equivalents: {_fmt(sum_ae)}")
-    out.line(f"sum of expected utilities: {_fmt(sum_eu)}")
-    out.computed["sum_ce"] = sum_ce
-    out.computed["sum_ae"] = sum_ae
-    out.computed["sum_eu"] = sum_eu
-    out.doc = {
-        "stages": stages,
-        "sum_ce": _jnum(sum_ce),
-        "sum_ae": _jnum(sum_ae),
-        "sum_eu": _jnum(sum_eu),
-    }
+        out.row(*s.values())
+        out.computed[f"stage{s['stage']}_saddle_value"] = s["eu"]
+    out.line(f"sum of certain equivalents: {_fmt(sums['sum_ce'])}")
+    out.line(f"sum of aspiration equivalents: {_fmt(sums['sum_ae'])}")
+    out.line(f"sum of expected utilities: {_fmt(sums['sum_eu'])}")
+    out.computed.update(sums)
+    out.doc = {"stages": stages, **sums}
     return out
 
 
@@ -462,27 +418,15 @@ def _cmd_dominance(scenario: Scenario, args: argparse.Namespace) -> _Out:
         f"{'yes' if second_order.dominates else 'no'} "
         f"(max violation {_fmt(second_order.max_violation)})"
     )
-    doc: dict[str, Any] = {
+    out.doc = {
         "first": first,
         "second": second,
-        "first_order": {
-            "dominates": verdict.dominates,
-            "strict_witness": None
-            if verdict.strict_witness is None
-            else _jnum(verdict.strict_witness),
-            "max_violation": _jnum(verdict.max_violation),
-        },
-        "second_order": {
-            "dominates": second_order.dominates,
-            "strict_witness": None
-            if second_order.strict_witness is None
-            else _jnum(second_order.strict_witness),
-            "max_violation": _jnum(second_order.max_violation),
-        },
+        "first_order": asdict(verdict),
+        "second_order": asdict(second_order),
     }
     out.row("quantity", "lottery", "value")
-    out.row("first_order_dominates", "", "yes" if verdict.dominates else "no")
-    out.row("max_violation", "", _fmt(verdict.max_violation))
+    out.row("first_order_dominates", "", verdict.dominates)
+    out.row("max_violation", "", verdict.max_violation)
     if verdict.dominates and scenario.lotteries:
         report = dominance_implications(
             A, B, [nc.curve for nc in scenario.lotteries], grid, spec
@@ -493,34 +437,25 @@ def _cmd_dominance(scenario: Scenario, args: argparse.Namespace) -> _Out:
         )
         rows = []
         for nc, m in zip(scenario.lotteries, report.per_lottery):
+            margins = asdict(m)
             out.line(
                 f"  {nc.name}: edu {_fmt(m.edu_margin)}, ae {_fmt(m.ae_margin)}, "
                 f"eu {_fmt(m.eu_margin)}"
             )
-            for quantity, value in (
-                ("edu_margin", m.edu_margin),
-                ("ae_margin", m.ae_margin),
-                ("eu_margin", m.eu_margin),
-            ):
-                out.row(quantity, nc.name, _fmt(value))
+            for quantity, value in margins.items():
+                out.row(quantity, nc.name, value)
                 out.computed[f"{quantity}:{nc.name}"] = value
-            rows.append(
-                {
-                    "lottery": nc.name,
-                    "edu_margin": _jnum(m.edu_margin),
-                    "ae_margin": _jnum(m.ae_margin),
-                    "eu_margin": _jnum(m.eu_margin),
-                }
-            )
+            rows.append({"lottery": nc.name, **margins})
         out.line(f"utility-density mean margin: {_fmt(report.mean_margin)}")
         out.line(f"all implications hold: {'yes' if report.all_hold else 'no'}")
-        doc["implications"] = {
-            "mean_margin": _jnum(report.mean_margin),
+        out.doc["implications"] = {
+            "mean_margin": report.mean_margin,
             "per_lottery": rows,
             "all_hold": report.all_hold,
         }
     if isinstance(A, ExponentialNormalized) and isinstance(B, ExponentialNormalized):
         g_lo, g_hi = sorted((A.gamma, B.gamma))
+        names = ("pointwise_margin", "eu_margin", "ae_margin", "ce_margin")
         chains = []
         for nc in scenario.lotteries:
             chain = exponential_chain(g_lo, g_hi, nc.curve, grid, spec)
@@ -529,18 +464,9 @@ def _cmd_dominance(scenario: Scenario, args: argparse.Namespace) -> _Out:
                 f"pointwise {_fmt(chain.pointwise_margin)}, eu {_fmt(chain.eu_margin)}, "
                 f"ae {_fmt(chain.ae_margin)}, ce {_fmt(chain.ce_margin)}"
             )
-            chains.append(
-                {
-                    "lottery": nc.name,
-                    "pointwise_margin": _jnum(chain.pointwise_margin),
-                    "eu_margin": _jnum(chain.eu_margin),
-                    "ae_margin": _jnum(chain.ae_margin),
-                    "ce_margin": _jnum(chain.ce_margin),
-                }
-            )
+            chains.append({"lottery": nc.name, **dict(zip(names, chain.margins()))})
         if chains:
-            doc["exponential_chain"] = chains
-    out.doc = doc
+            out.doc["exponential_chain"] = chains
     return out
 
 
@@ -554,34 +480,37 @@ def _cmd_approx(scenario: Scenario, args: argparse.Namespace) -> _Out:
     out = _Out()
     out.row("quantity", "lottery", "utility", "value")
     doc_pairs = []
+
+    def record(fn: str, un: str, values: dict[str, float]) -> None:
+        for label, value in values.items():
+            out.row(label, fn, un, value)
+            out.computed[f"{label}:{fn}:{un}"] = value
+
     for fn_named in scenario.lotteries:
         for un_named in scenario.utilities:
             fn, un = fn_named.name, un_named.name
             F, U = fn_named.curve, un_named.curve
             ce = ce_taylor2(F, U, spec)
             ae = ae_taylor2(F, U, spec)
-            st = spread_tolerance(F, ae.first_moment)
-            rt = risk_tolerance(U, ce.first_moment)
-            pair_doc: dict[str, Any] = {"lottery": fn, "utility": un}
+            values = {
+                "lottery_mean": ce.first_moment,
+                "lottery_var": ce.central_second_moment,
+                "risk_tolerance": risk_tolerance(U, ce.first_moment),
+                "ce_exact": ce.exact,
+                "ce_approx": ce.approx,
+                "ce_premium": ce.premium,
+                "utility_mean": ae.first_moment,
+                "utility_var": ae.central_second_moment,
+                "spread_tolerance": spread_tolerance(F, ae.first_moment),
+                "ae_exact": ae.exact,
+                "ae_approx": ae.approx,
+                "ae_premium": ae.premium,
+            }
             out.line(f"pair ({fn}, {un}):")
-            for label, value in (
-                ("lottery_mean", ce.first_moment),
-                ("lottery_var", ce.central_second_moment),
-                ("risk_tolerance", rt),
-                ("ce_exact", ce.exact),
-                ("ce_approx", ce.approx),
-                ("ce_premium", ce.premium),
-                ("utility_mean", ae.first_moment),
-                ("utility_var", ae.central_second_moment),
-                ("spread_tolerance", st),
-                ("ae_exact", ae.exact),
-                ("ae_approx", ae.approx),
-                ("ae_premium", ae.premium),
-            ):
+            for label, value in values.items():
                 out.line(f"  {label}: {_fmt(value)}")
-                out.row(label, fn, un, _fmt(value))
-                out.computed[f"{label}:{fn}:{un}"] = value
-                pair_doc[label] = _jnum(value)
+            record(fn, un, values)
+            pair_doc: dict[str, Any] = {"lottery": fn, "utility": un, **values}
             if isinstance(F, ExponentialNormalized) and F.gamma > 0 and not U.is_step:
                 with warnings.catch_warnings():
                     # the divergence verdict is printed below; the Python
@@ -594,14 +523,11 @@ def _cmd_approx(scenario: Scenario, args: argparse.Namespace) -> _Out:
                 )
                 if series.diverging:
                     out.line("  warning: series terms grow past k=3, not converging")
-                out.row("ae_series", fn, un, _fmt(series.series))
-                out.row("ae_closed_form", fn, un, _fmt(series.closed_form))
-                out.computed[f"ae_series:{fn}:{un}"] = series.series
-                out.computed[f"ae_closed_form:{fn}:{un}"] = series.closed_form
-                pair_doc["ae_series"] = _jnum(series.series)
-                pair_doc["ae_closed_form"] = _jnum(series.closed_form)
-                pair_doc["series_terms"] = [_jnum(t) for t in series.terms]
-                pair_doc["series_diverging"] = series.diverging
+                series_values = {"ae_series": series.series, "ae_closed_form": series.closed_form}
+                record(fn, un, series_values)
+                pair_doc.update(
+                    series_values, series_terms=series.terms, series_diverging=series.diverging
+                )
             doc_pairs.append(pair_doc)
     out.doc = {"pairs": doc_pairs}
     return out
@@ -625,22 +551,8 @@ def _cmd_solve_gamma(scenario: Scenario, args: argparse.Namespace) -> _Out:
     out.line(f"effective gamma: {_fmt(g)}")
     out.line(f"risk tolerance: {_fmt(rt)}")
     out.line(f"aspiration equivalent at that gamma: {_fmt(achieved)}")
-    out.row("field", "value")
-    out.row("effective_gamma", _fmt(g))
-    out.row("risk_tolerance", _fmt(rt))
-    out.row("achieved_target", _fmt(achieved))
-    out.computed = {
-        "effective_gamma": g,
-        "risk_tolerance": rt,
-        "achieved_target": achieved,
-    }
-    out.doc = {
-        "lottery": name,
-        "target": _jnum(target),
-        "effective_gamma": _jnum(g),
-        "risk_tolerance": _jnum(rt),
-        "achieved_target": _jnum(achieved),
-    }
+    out.doc = {"lottery": name, "target": target}
+    out.fields(effective_gamma=g, risk_tolerance=rt, achieved_target=achieved)
     return out
 
 
@@ -670,7 +582,7 @@ def _cmd_delegate(scenario: Scenario, args: argparse.Namespace) -> _Out:
         out.line(f"rule {tag}:")
         for fn, t, p in zip(fnames, rule.targets, rule.exceedance):
             out.line(f"  {fn}: target {_fmt(t)}, exceedance {_fmt(p)}")
-            out.row(rule.rule, fn, _fmt(t), _fmt(p))
+            out.row(rule.rule, fn, t, p)
         agrees = "agrees with principal" if rule.agrees_with_principal else "DISAGREES"
         separates = "" if rule.separates_lotteries else " (cannot separate lotteries)"
         out.line(f"  agent picks {fnames[rule.agent_choice]}: {agrees}{separates}")
@@ -678,8 +590,8 @@ def _cmd_delegate(scenario: Scenario, args: argparse.Namespace) -> _Out:
         doc_rules.append(
             {
                 "rule": rule.rule,
-                "targets": [_jnum(t) for t in rule.targets],
-                "exceedance": [_jnum(p) for p in rule.exceedance],
+                "targets": rule.targets,
+                "exceedance": rule.exceedance,
                 "agent_choice": fnames[rule.agent_choice],
                 "agrees_with_principal": rule.agrees_with_principal,
                 "separates_lotteries": rule.separates_lotteries,
@@ -705,6 +617,7 @@ _HANDLERS: dict[str, Callable[[Scenario, argparse.Namespace], _Out]] = {
     "solve-gamma": _cmd_solve_gamma,
     "delegate": _cmd_delegate,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -733,7 +646,7 @@ def _write_csv(path: str, rows: list[list[str]]) -> None:
 
 def _write_json(path: str, doc: dict[str, Any]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(_rounded(doc), fh, indent=2)
         fh.write("\n")
 
 

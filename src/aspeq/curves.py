@@ -51,6 +51,9 @@ class Curve:
     role_hint: str | None = field(default=None, kw_only=True)
 
     kind: ClassVar[str] = ""
+    # scenario-file parameter name -> field; a field defaulting to None
+    # is optional, every other one is required
+    params: ClassVar[dict[str, str]] = {}
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -61,6 +64,12 @@ class Curve:
             raise CurveParameterError(
                 f"role_hint must be 'lottery', 'utility', or omitted, got {self.role_hint!r}"
             )
+        for name in self.params.values():
+            value = getattr(self, name)
+            # a knot tuple is checked coordinate by coordinate
+            numbers = [c for point in value for c in point] if isinstance(value, tuple) else [value]
+            if value is not None and not all(map(math.isfinite, numbers)):
+                raise CurveParameterError(f"{name} must be finite, got {value!r}")
 
     @property
     def span(self) -> float:
@@ -157,6 +166,7 @@ class Triangular(Curve):
     mode: float | None = None
 
     kind: ClassVar[str] = "triangular"
+    params: ClassVar[dict[str, str]] = {"mode": "mode"}
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -209,6 +219,7 @@ class ScaledBeta(Curve):
     beta: float = 1.0
 
     kind: ClassVar[str] = "scaled_beta"
+    params: ClassVar[dict[str, str]] = {"alpha": "alpha", "beta": "beta"}
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -263,13 +274,12 @@ class ExponentialNormalized(Curve):
     gamma: float = 1.0
 
     kind: ClassVar[str] = "exponential_normalized"
+    params: ClassVar[dict[str, str]] = {"gamma": "gamma"}
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.gamma == 0.0 or not math.isfinite(self.gamma):
-            raise CurveParameterError(
-                "gamma must be finite and nonzero; use the linear kind for gamma=0"
-            )
+        if self.gamma == 0.0:
+            raise CurveParameterError("gamma must be nonzero; use the linear kind for gamma=0")
         if abs(self.gamma) * self.span > 500.0:
             raise CurveParameterError(
                 f"|gamma|*span = {abs(self.gamma) * self.span!r} exceeds 500"
@@ -318,6 +328,7 @@ class TruncatedGaussian(Curve):
     scale: float = 1.0
 
     kind: ClassVar[str] = "truncated_gaussian"
+    params: ClassVar[dict[str, str]] = {"mu": "center", "sigma": "scale"}
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -373,6 +384,7 @@ class LogWealth(Curve):
     wealth: float = 1.0
 
     kind: ClassVar[str] = "log_wealth"
+    params: ClassVar[dict[str, str]] = {"w": "wealth"}
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -405,6 +417,7 @@ class Step(Curve):
     threshold: float = 0.0
 
     kind: ClassVar[str] = "step"
+    params: ClassVar[dict[str, str]] = {"x0": "threshold"}
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -452,11 +465,12 @@ class PiecewiseLinear(Curve):
     points: tuple[tuple[float, float], ...] = ()
 
     kind: ClassVar[str] = "piecewise_linear"
+    params: ClassVar[dict[str, str]] = {"knots": "points"}
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         pts = tuple((float(x), float(y)) for x, y in self.points)
         object.__setattr__(self, "points", pts)
+        super().__post_init__()
         if len(pts) < 2:
             raise CurveParameterError("need at least two points")
         if pts[0] != (self.lo, 0.0) or pts[-1] != (self.hi, 1.0):

@@ -12,18 +12,8 @@ Schema:
       ... command-specific keys ...
     }
 
-Curve kinds and their parameter names:
-
-    uniform                  (none)
-    linear                   (none)
-    triangular               mode (optional; default midpoint)
-    scaled_beta              alpha, beta
-    exponential_normalized   gamma
-    truncated_gaussian       mu, sigma
-    log_wealth               w
-    step                     x0
-    piecewise_linear         knots: [[x, value], ...]
-
+Each curve kind's parameter names are the keys of its class's `params`
+map in curves; piecewise_linear takes its knots as [[x, value], ...].
 Any other key on a curve entry (besides name/kind/role_hint) is rejected,
 as is any malformed or non-finite value; errors carry the JSON path of
 the offending field. An optional "published" list of {"key", "value",
@@ -35,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .curves import CURVE_KINDS, Curve, CurveParameterError
@@ -43,31 +33,6 @@ from .curves import CURVE_KINDS, Curve, CurveParameterError
 
 class ScenarioError(ValueError):
     """Scenario file or object does not match the schema."""
-
-
-# JSON parameter name -> constructor keyword, per kind
-_PARAM_MAP: dict[str, dict[str, str]] = {
-    "uniform": {},
-    "linear": {},
-    "triangular": {"mode": "mode"},
-    "scaled_beta": {"alpha": "alpha", "beta": "beta"},
-    "exponential_normalized": {"gamma": "gamma"},
-    "truncated_gaussian": {"mu": "center", "sigma": "scale"},
-    "log_wealth": {"w": "wealth"},
-    "step": {"x0": "threshold"},
-    "piecewise_linear": {"knots": "points"},
-}
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "uniform": (),
-    "linear": (),
-    "triangular": (),
-    "scaled_beta": ("alpha", "beta"),
-    "exponential_normalized": ("gamma",),
-    "truncated_gaussian": ("mu", "sigma"),
-    "log_wealth": ("w",),
-    "step": ("x0",),
-    "piecewise_linear": ("knots",),
-}
 
 
 @dataclass(frozen=True)
@@ -107,8 +72,15 @@ def _by_name(entries: tuple[NamedCurve, ...], name: str, which: str) -> Curve:
 
 
 def _number(obj: Any, path: str) -> float:
-    # json reads NaN and Infinity as floats; no parameter accepts them
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not math.isfinite(obj):
+    # json reads NaN and Infinity as floats, and integers of any size; no
+    # parameter accepts them
+    try:
+        finite = not isinstance(obj, bool) and isinstance(obj, (int, float)) and math.isfinite(obj)
+    except OverflowError:
+        raise ScenarioError(
+            f"{path}: expected a finite number, got an integer beyond float range"
+        ) from None
+    if not finite:
         raise ScenarioError(f"{path}: expected a finite number, got {obj!r}")
     return float(obj)
 
@@ -123,21 +95,22 @@ def _parse_curve(obj: Any, lo: float, hi: float, path: str, role: str) -> NamedC
     if kind not in CURVE_KINDS:
         known = ", ".join(sorted(CURVE_KINDS))
         raise ScenarioError(f"{path}.kind: unknown kind {kind!r} (have: {known})")
-    allowed = _PARAM_MAP[kind]
-    extra = set(obj) - {"name", "kind", "role_hint"} - set(allowed)
+    cls = CURVE_KINDS[kind]
+    extra = set(obj) - {"name", "kind", "role_hint"} - set(cls.params)
     if extra:
         raise ScenarioError(
             f"{path}: unexpected keys for kind {kind!r}: {sorted(extra)}"
         )
-    for req in _REQUIRED[kind]:
-        if req not in obj:
-            raise ScenarioError(f"{path}.{req}: required for kind {kind!r}")
+    optional = {f.name for f in fields(cls) if f.default is None}
+    for json_name, ctor_name in cls.params.items():
+        if json_name not in obj and ctor_name not in optional:
+            raise ScenarioError(f"{path}.{json_name}: required for kind {kind!r}")
     kwargs: dict[str, Any] = {}
-    for json_name, ctor_name in allowed.items():
+    for json_name, ctor_name in cls.params.items():
         if json_name not in obj:
             continue
         raw = obj[json_name]
-        if kind == "piecewise_linear":
+        if json_name == "knots":
             if not isinstance(raw, list):
                 raise ScenarioError(f"{path}.{json_name}: expected a list of [x, value]")
             pts = []
@@ -156,7 +129,7 @@ def _parse_curve(obj: Any, lo: float, hi: float, path: str, role: str) -> NamedC
         else:
             kwargs[ctor_name] = _number(raw, f"{path}.{json_name}")
     try:
-        curve = CURVE_KINDS[kind](lo, hi, role_hint=obj.get("role_hint", role), **kwargs)
+        curve = cls(lo, hi, role_hint=obj.get("role_hint", role), **kwargs)
     except CurveParameterError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     return NamedCurve(name=name, curve=curve)
@@ -210,6 +183,7 @@ def load_scenario(path: str) -> Scenario:
             obj = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal too long to convert
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
     return parse_scenario(obj)

@@ -379,6 +379,24 @@ class TestNumberValidation:
         entry = {"key": "eu:beta23:exp2", "value": 0.5, "tolerance": math.nan}
         self.rejected(tmp_path, capsys, "eval", dict(BASIC, published=[entry]), "published[0].tolerance")
 
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        p = tmp_path / "huge.json"
+        text = json.dumps(BASIC).replace('"alpha": 2.0', '"alpha": 1' + "0" * 400)
+        p.write_text(text, encoding="utf-8")
+        code, out = run("eval", "--scenario", str(p))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert out == ""
+        assert "error: lotteries[0].alpha:" in err
+
+    def test_integer_too_long_to_read(self, tmp_path, capsys):
+        p = tmp_path / "long.json"
+        text = json.dumps(BASIC).replace('"alpha": 2.0', '"alpha": 1' + "0" * 5000)
+        p.write_text(text, encoding="utf-8")
+        code, _ = run("eval", "--scenario", str(p))
+        assert code == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_published_value_checked_when_skipped(self, tmp_path, capsys):
         # an entry this command does not produce is still validated
         obj = dict(BASIC, published=[{"key": "no_such_key", "value": True}])

@@ -1,5 +1,6 @@
 """Curve kinds: CDF values, densities, quantiles, moments, validation."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -298,3 +299,35 @@ class TestRegistryAndBase:
         m, v = oracles.density_mean_var(lambda x: oracles.beta_pdf(x, 0, 10, 6, 3), 0, 10)
         assert mean == pytest.approx(float(m), abs=1e-8)
         assert var == pytest.approx(float(v), abs=1e-8)
+
+
+class TestNonFiniteParameters:
+    """Library callers get the same refusal scenario files do."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ScaledBeta(0.0, 1.0, alpha=math.nan, beta=2.0),
+            lambda: LogWealth(0.0, 1.0, wealth=math.inf),
+            lambda: TruncatedGaussian(0.0, 1.0, center=math.nan, scale=0.1),
+            lambda: PiecewiseLinear(0.0, 1.0, points=((0.0, 0.0), (0.5, math.nan), (1.0, 1.0))),
+            lambda: PiecewiseLinear(0.0, 1.0, points=((0.0, 0.0), (math.inf, 0.5), (1.0, 1.0))),
+            lambda: ExponentialNormalized(0.0, 1.0, gamma=-math.inf),
+            lambda: Triangular(0.0, 1.0, mode=math.nan),
+            lambda: Step(0.0, 1.0, threshold=math.nan),
+        ],
+        ids=["beta-alpha", "log-wealth", "gauss-center", "knot-value", "knot-x", "exp-gamma",
+             "tri-mode", "step-threshold"],
+    )
+    def test_rejected(self, make):
+        with pytest.raises(CurveParameterError, match="must be finite"):
+            make()
+
+    def test_zero_gamma_still_refused(self):
+        with pytest.raises(CurveParameterError, match="linear kind"):
+            ExponentialNormalized(0.0, 1.0, gamma=0.0)
+
+    def test_params_name_dataclass_fields(self):
+        for cls in CURVE_KINDS.values():
+            names = {f.name for f in dataclasses.fields(cls)}
+            assert set(cls.params.values()) <= names, cls.kind

@@ -1,12 +1,14 @@
 """Scenario JSON parsing: schema, mapping, and error paths."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import aspeq
 from aspeq import (
+    CURVE_KINDS,
     PiecewiseLinear,
     Scenario,
     ScenarioError,
@@ -17,6 +19,7 @@ from aspeq import (
 )
 
 FIXTURES = Path(aspeq.__file__).parent / "fixtures"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def minimal(**extra):
@@ -194,3 +197,29 @@ class TestLoadScenario:
         p.write_text(json.dumps(minimal()), encoding="utf-8")
         sc = load_scenario(str(p))
         assert sc.lottery_names() == ["u"]
+
+
+class TestReadmeCurveTable:
+    """The README's curve-kind table names exactly each class's params."""
+
+    @staticmethod
+    def table() -> dict[str, set[str]]:
+        text = README.read_text(encoding="utf-8")
+        section = text[text.index("Curve kinds and their JSON parameters") :]
+        rows = {}
+        for line in section.splitlines()[1:]:
+            if line.startswith("| `"):
+                kind, params = line.split("|")[1:3]
+                rows[kind.strip().strip("`")] = set(re.findall(r"`(\w+)`", params))
+            elif rows and not line.startswith("|"):
+                break
+        return rows
+
+    def test_kinds_listed(self):
+        assert set(self.table()) == set(CURVE_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(CURVE_KINDS))
+    def test_params_listed(self, kind):
+        # a backticked kind name in the notes (e.g. `linear`) is not a parameter
+        listed = self.table()[kind] - set(CURVE_KINDS)
+        assert listed == set(CURVE_KINDS[kind].params)
