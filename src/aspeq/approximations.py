@@ -21,6 +21,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .curves import (
     Curve,
     ExponentialNormalized,
@@ -209,7 +211,7 @@ def ae_cumulant_series(
     lo, hi = F.lo, F.hi
     knots = merge_knots(U.kinks(), U.sample_hints(), F.sample_hints())
     expectation = integrate(
-        lambda x: U.density(x) * math.exp(-lam * (x - lo)), lo, hi, spec, knots
+        lambda x: U.density(x) * np.exp(-lam * (x - lo)), lo, hi, spec, knots
     )
     closed = lo - math.log(expectation) / lam
     kappa = cumulants(

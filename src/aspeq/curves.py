@@ -5,7 +5,8 @@ The same object serves two roles: read as a cumulative distribution it
 describes a lottery; read as a normalized utility it describes preference.
 Every kind exposes value, density (derivative of value), and quantile
 (generalized inverse), plus its interior kinks so quadrature can split
-panels there.
+panels there. value and density take a float or a 1-D array of points
+(a float in gives a float out); quantile takes one probability.
 
 Step is the one deliberately degenerate member: its density is a point
 mass, so density() and any path that needs one raise StepFunctionError,
@@ -14,12 +15,13 @@ while value and quantile stay exact.
 
 from __future__ import annotations
 
+import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from scipy.special import betainc, betaincinv, betaln, ndtr, ndtri
+import numpy as np
+from scipy.special import betainc, betaincinv, betaln, ndtr, ndtri, xlog1py, xlogy
 
 from .numerics import QuadratureSpec, cumulants, merge_knots
 
@@ -44,6 +46,26 @@ class SingularDensityError(CurveError):
     """Operation integrates a density that is unbounded at an endpoint."""
 
 
+def _finite(number: float) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _kernel(method):
+    """Make an array kernel a value or density method: the whole input is
+    checked against the domain, and a float in gives a Python float out."""
+
+    @functools.wraps(method)
+    def checked(self, x):
+        xs = self._check_x(x)
+        y = method(self, xs)
+        return float(y) if xs.ndim == 0 else y
+
+    return checked
+
+
 @dataclass(frozen=True)
 class Curve:
     lo: float
@@ -56,7 +78,7 @@ class Curve:
     params: ClassVar[dict[str, str]] = {}
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+        if not (_finite(self.lo) and _finite(self.hi)):
             raise CurveParameterError("interval ends must be finite")
         if self.lo >= self.hi:
             raise CurveParameterError(f"need lo < hi, got [{self.lo!r}, {self.hi!r}]")
@@ -68,7 +90,7 @@ class Curve:
             value = getattr(self, name)
             # a knot tuple is checked coordinate by coordinate
             numbers = [c for point in value for c in point] if isinstance(value, tuple) else [value]
-            if value is not None and not all(map(math.isfinite, numbers)):
+            if value is not None and not all(map(_finite, numbers)):
                 raise CurveParameterError(f"{name} must be finite, got {value!r}")
 
     @property
@@ -94,19 +116,31 @@ class Curve:
         nonsmoothness meaning."""
         return ()
 
-    def _check_x(self, x: float) -> None:
-        if not self.lo <= x <= self.hi:
-            raise DomainError(f"x={x!r} outside [{self.lo!r}, {self.hi!r}]")
+    def _check_x(self, x: float | np.ndarray) -> np.ndarray:
+        try:
+            xs = np.asarray(x, dtype=float)
+        except OverflowError:  # an int beyond float range is outside too
+            xs = np.asarray(math.inf)
+        inside = (xs >= self.lo) & (xs <= self.hi)
+        if not inside.all():
+            bad = x if xs.ndim == 0 else float(xs[~inside][0])
+            raise DomainError(f"x={bad!r} outside [{self.lo!r}, {self.hi!r}]")
+        return xs
+
+    def _cache(self, **constants: float | np.ndarray) -> None:
+        """Store per-curve constants the kernels read on every call."""
+        for name, value in constants.items():
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def _check_p(p: float) -> None:
         if not 0.0 <= p <= 1.0:
             raise DomainError(f"probability {p!r} outside [0, 1]")
 
-    def value(self, x: float) -> float:
+    def value(self, x: float | np.ndarray) -> float | np.ndarray:
         raise NotImplementedError
 
-    def density(self, x: float) -> float:
+    def density(self, x: float | np.ndarray) -> float | np.ndarray:
         raise NotImplementedError
 
     def quantile(self, p: float) -> float:
@@ -136,13 +170,13 @@ class Uniform(Curve):
 
     kind: ClassVar[str] = "uniform"
 
-    def value(self, x: float) -> float:
-        self._check_x(x)
+    @_kernel
+    def value(self, x):
         return (x - self.lo) / self.span
 
-    def density(self, x: float) -> float:
-        self._check_x(x)
-        return 1.0 / self.span
+    @_kernel
+    def density(self, x):
+        return np.full_like(x, 1.0 / self.span)
 
     def quantile(self, p: float) -> float:
         self._check_p(p)
@@ -176,25 +210,36 @@ class Triangular(Curve):
             raise CurveParameterError(
                 f"mode {self.mode!r} outside [{self.lo!r}, {self.hi!r}]"
             )
+        # a side of zero width is never selected; 1.0 keeps its unused
+        # array branch free of 0/0
+        self._cache(
+            _left=(self.hi - self.lo) * (self.mode - self.lo) or 1.0,
+            _right=(self.hi - self.lo) * (self.hi - self.mode) or 1.0,
+        )
+
+    def _on_left(self, x: np.ndarray) -> np.ndarray:
+        return (x <= self.mode) & (self.mode > self.lo)
 
     def kinks(self) -> tuple[float, ...]:
         if self.lo < self.mode < self.hi:
             return (self.mode,)
         return ()
 
-    def value(self, x: float) -> float:
-        self._check_x(x)
-        lo, hi, m = self.lo, self.hi, self.mode
-        if x <= m and m > lo:
-            return (x - lo) ** 2 / ((hi - lo) * (m - lo))
-        return 1.0 - (hi - x) ** 2 / ((hi - lo) * (hi - m))
+    @_kernel
+    def value(self, x):
+        return np.where(
+            self._on_left(x),
+            (x - self.lo) ** 2 / self._left,
+            1.0 - (self.hi - x) ** 2 / self._right,
+        )
 
-    def density(self, x: float) -> float:
-        self._check_x(x)
-        lo, hi, m = self.lo, self.hi, self.mode
-        if x <= m and m > lo:
-            return 2.0 * (x - lo) / ((hi - lo) * (m - lo))
-        return 2.0 * (hi - x) / ((hi - lo) * (hi - m))
+    @_kernel
+    def density(self, x):
+        return np.where(
+            self._on_left(x),
+            2.0 * (x - self.lo) / self._left,
+            2.0 * (self.hi - x) / self._right,
+        )
 
     def quantile(self, p: float) -> float:
         self._check_p(p)
@@ -225,36 +270,26 @@ class ScaledBeta(Curve):
         super().__post_init__()
         if self.alpha <= 0 or self.beta <= 0:
             raise CurveParameterError("shape parameters must be positive")
+        self._cache(_log_norm=float(betaln(self.alpha, self.beta)))
 
     @property
     def has_singular_density(self) -> bool:
         return self.alpha < 1.0 or self.beta < 1.0
 
-    def _unit(self, x: float) -> float:
+    def _unit(self, x):
         return (x - self.lo) / self.span
 
-    def value(self, x: float) -> float:
-        self._check_x(x)
-        return float(betainc(self.alpha, self.beta, self._unit(x)))
+    @_kernel
+    def value(self, x):
+        return betainc(self.alpha, self.beta, self._unit(x))
 
-    def density(self, x: float) -> float:
-        self._check_x(x)
+    @_kernel
+    def density(self, x):
+        # xlogy(0, 0) = 0, so a unit shape gives its finite end value, a
+        # shape above 1 gives 0 there, and one below 1 gives inf
         y = self._unit(x)
-        a, b = self.alpha, self.beta
-        if y <= 0.0:
-            if a > 1.0:
-                return 0.0
-            if a == 1.0:
-                return b / self.span
-            return math.inf
-        if y >= 1.0:
-            if b > 1.0:
-                return 0.0
-            if b == 1.0:
-                return a / self.span
-            return math.inf
-        logpdf = (a - 1.0) * math.log(y) + (b - 1.0) * math.log1p(-y) - betaln(a, b)
-        return math.exp(logpdf) / self.span
+        logpdf = xlogy(self.alpha - 1.0, y) + xlog1py(self.beta - 1.0, -y) - self._log_norm
+        return np.exp(logpdf) / self.span
 
     def quantile(self, p: float) -> float:
         self._check_p(p)
@@ -284,16 +319,16 @@ class ExponentialNormalized(Curve):
             raise CurveParameterError(
                 f"|gamma|*span = {abs(self.gamma) * self.span!r} exceeds 500"
             )
+        self._cache(_full=math.expm1(-self.gamma * self.span))
 
-    def value(self, x: float) -> float:
-        self._check_x(x)
-        g = self.gamma
-        return math.expm1(-g * (x - self.lo)) / math.expm1(-g * self.span)
+    @_kernel
+    def value(self, x):
+        return np.expm1(-self.gamma * (x - self.lo)) / self._full
 
-    def density(self, x: float) -> float:
-        self._check_x(x)
+    @_kernel
+    def density(self, x):
         g = self.gamma
-        return g * math.exp(-g * (x - self.lo)) / (-math.expm1(-g * self.span))
+        return g * np.exp(-g * (x - self.lo)) / (-self._full)
 
     def quantile(self, p: float) -> float:
         self._check_p(p)
@@ -301,8 +336,7 @@ class ExponentialNormalized(Curve):
             return self.lo
         if p == 1.0:
             return self.hi
-        g = self.gamma
-        return self.lo - math.log1p(p * math.expm1(-g * self.span)) / g
+        return self.lo - math.log1p(p * self._full) / self.gamma
 
     def sample_hints(self) -> tuple[float, ...]:
         # at large |gamma|*span the density is a boundary layer of width
@@ -334,26 +368,26 @@ class TruncatedGaussian(Curve):
         super().__post_init__()
         if self.scale <= 0:
             raise CurveParameterError("scale must be positive")
-        if self._mass() < 1e-15:
+        base = float(ndtr(self._z(self.lo)))
+        mass = float(ndtr(self._z(self.hi)) - base)
+        if mass < 1e-15:
             raise CurveParameterError(
                 "interval carries no Gaussian mass at this center/scale"
             )
+        self._cache(_base=base, _mass=mass)
 
-    def _z(self, x: float) -> float:
+    def _z(self, x):
         return (x - self.center) / self.scale
 
-    def _mass(self) -> float:
-        return float(ndtr(self._z(self.hi)) - ndtr(self._z(self.lo)))
+    @_kernel
+    def value(self, x):
+        return (ndtr(self._z(x)) - self._base) / self._mass
 
-    def value(self, x: float) -> float:
-        self._check_x(x)
-        return float(ndtr(self._z(x)) - ndtr(self._z(self.lo))) / self._mass()
-
-    def density(self, x: float) -> float:
-        self._check_x(x)
+    @_kernel
+    def density(self, x):
         z = self._z(x)
-        phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        return phi / (self.scale * self._mass())
+        phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return phi / (self.scale * self._mass)
 
     def quantile(self, p: float) -> float:
         self._check_p(p)
@@ -361,8 +395,7 @@ class TruncatedGaussian(Curve):
             return self.lo
         if p == 1.0:
             return self.hi
-        base = float(ndtr(self._z(self.lo)))
-        return self.center + self.scale * float(ndtri(base + p * self._mass()))
+        return self.center + self.scale * float(ndtri(self._base + p * self._mass))
 
     def sample_hints(self) -> tuple[float, ...]:
         # a narrow bell can sit entirely between the opening samples
@@ -392,21 +425,19 @@ class LogWealth(Curve):
             raise CurveParameterError(
                 f"wealth + lo must be positive, got {self.wealth + self.lo!r}"
             )
+        self._cache(_scale=math.log((self.wealth + self.hi) / (self.wealth + self.lo)))
 
-    def _scale(self) -> float:
-        return math.log((self.wealth + self.hi) / (self.wealth + self.lo))
+    @_kernel
+    def value(self, x):
+        return np.log((self.wealth + x) / (self.wealth + self.lo)) / self._scale
 
-    def value(self, x: float) -> float:
-        self._check_x(x)
-        return math.log((self.wealth + x) / (self.wealth + self.lo)) / self._scale()
-
-    def density(self, x: float) -> float:
-        self._check_x(x)
-        return 1.0 / ((self.wealth + x) * self._scale())
+    @_kernel
+    def density(self, x):
+        return 1.0 / ((self.wealth + x) * self._scale)
 
     def quantile(self, p: float) -> float:
         self._check_p(p)
-        return (self.wealth + self.lo) * math.exp(p * self._scale()) - self.wealth
+        return (self.wealth + self.lo) * math.exp(p * self._scale) - self.wealth
 
 
 @dataclass(frozen=True)
@@ -435,11 +466,11 @@ class Step(Curve):
             return (self.threshold,)
         return ()
 
-    def value(self, x: float) -> float:
-        self._check_x(x)
-        return 1.0 if x >= self.threshold else 0.0
+    @_kernel
+    def value(self, x):
+        return np.where(x >= self.threshold, 1.0, 0.0)
 
-    def density(self, x: float) -> float:
+    def density(self, x):
         raise StepFunctionError("step curve has a point mass, not a density")
 
     def quantile(self, p: float) -> float:
@@ -468,7 +499,10 @@ class PiecewiseLinear(Curve):
     params: ClassVar[dict[str, str]] = {"knots": "points"}
 
     def __post_init__(self) -> None:
-        pts = tuple((float(x), float(y)) for x, y in self.points)
+        try:
+            pts = tuple((float(x), float(y)) for x, y in self.points)
+        except OverflowError:
+            raise CurveParameterError(f"points must be finite, got {self.points!r}") from None
         object.__setattr__(self, "points", pts)
         super().__post_init__()
         if len(pts) < 2:
@@ -482,26 +516,24 @@ class PiecewiseLinear(Curve):
                 raise CurveParameterError("x coordinates must strictly increase")
             if y1 < y0:
                 raise CurveParameterError("values must be nondecreasing")
+        xs, ys = np.array([x for x, _ in pts]), np.array([y for _, y in pts])
+        self._cache(_xs=xs, _ys=ys, _dx=np.diff(xs), _dy=np.diff(ys))
 
     def kinks(self) -> tuple[float, ...]:
         return tuple(x for x, _ in self.points[1:-1])
 
-    def _segment(self, x: float) -> int:
-        xs = [p[0] for p in self.points]
-        i = bisect_right(xs, x) - 1
-        return min(max(i, 0), len(self.points) - 2)
+    def _segment(self, x: np.ndarray) -> np.ndarray:
+        return np.clip(np.searchsorted(self._xs, x, side="right") - 1, 0, len(self._dx) - 1)
 
-    def value(self, x: float) -> float:
-        self._check_x(x)
+    @_kernel
+    def value(self, x):
         i = self._segment(x)
-        (x0, y0), (x1, y1) = self.points[i], self.points[i + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        return self._ys[i] + self._dy[i] * (x - self._xs[i]) / self._dx[i]
 
-    def density(self, x: float) -> float:
-        self._check_x(x)
+    @_kernel
+    def density(self, x):
         i = self._segment(x)
-        (x0, y0), (x1, y1) = self.points[i], self.points[i + 1]
-        return (y1 - y0) / (x1 - x0)
+        return self._dy[i] / self._dx[i]
 
     def quantile(self, p: float) -> float:
         self._check_p(p)

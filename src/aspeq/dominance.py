@@ -113,7 +113,7 @@ def first_order_dominates(
     dominance of A over B (A's CDF sits below B's).
     """
     xs = _grid(A, B, grid_points)
-    diff = np.array([A.value(float(x)) - B.value(float(x)) for x in xs])
+    diff = A.value(xs) - B.value(xs)
     max_violation = float(max(diff.max(), 0.0))
     strict = diff < -GRID_TOLERANCE
     witness = float(xs[int(np.argmin(diff))]) if bool(strict.any()) else None
@@ -150,7 +150,7 @@ def dominance_implications(
         margins.append(
             LotteryMargins(
                 edu_margin=edu_a - edu_b,
-                ae_margin=_aspiration_from(f, edu_a) - _aspiration_from(f, edu_b),
+                ae_margin=_aspiration_from(f, edu_a, spec) - _aspiration_from(f, edu_b, spec),
                 eu_margin=expected_utility(f, B, spec) - expected_utility(f, A, spec),
             )
         )
@@ -184,7 +184,7 @@ def exponential_chain(
     A = exponential_or_linear(F.lo, F.hi, gamma_a)
     B = exponential_or_linear(F.lo, F.hi, gamma_b)
     xs = _grid(A, B, grid_points)
-    pointwise = float(min(B.value(float(x)) - A.value(float(x)) for x in xs))
+    pointwise = float((B.value(xs) - A.value(xs)).min())
     a, b = evaluate_pair(F, A, spec), evaluate_pair(F, B, spec)
     return ChainReport(
         gamma_a=gamma_a,
@@ -204,7 +204,7 @@ def second_order_dominates(
     dominance implies this; crossing curves are adjudicated by where the
     accumulated area lands."""
     xs = _grid(A, B, grid_points)
-    diff = np.array([A.value(float(x)) - B.value(float(x)) for x in xs])
+    diff = A.value(xs) - B.value(xs)
     steps = 0.5 * (diff[1:] + diff[:-1]) * np.diff(xs)
     running = np.concatenate([[0.0], np.cumsum(steps)])
     span = A.hi - A.lo

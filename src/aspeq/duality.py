@@ -32,7 +32,14 @@ from .curves import (
     SingularDensityError,
     StepFunctionError,
 )
-from .numerics import QuadratureSpec, RootBracket, find_root, integrate, merge_knots
+from .numerics import (
+    DEFAULT_QUADRATURE,
+    QuadratureSpec,
+    RootBracket,
+    find_root,
+    integrate,
+    merge_knots,
+)
 
 GAMMA_SPAN_CAP = 500.0
 
@@ -99,35 +106,37 @@ def _pair_integral(
     )
 
 
-def _invert(curve: Curve, p: float) -> float:
-    """curve^-1(p) for an integrated EU or EDU. Quadrature roundoff up to
-    1e-9 past an end of [0,1] is snapped; anything further out is a real
-    error, not noise."""
-    if -1e-9 <= p < 0.0:
+def _invert(curve: Curve, p: float, spec: QuadratureSpec | None) -> float:
+    """curve^-1(p) for an integrated EU or EDU. A value past an end of
+    [0,1] by no more than the quadrature budget at p = 1 is snapped; one
+    further out is a real error, not noise."""
+    spec = spec or DEFAULT_QUADRATURE
+    slack = max(spec.absolute_tolerance, spec.relative_tolerance)
+    if -slack <= p < 0.0:
         p = 0.0
-    elif 1.0 < p <= 1.0 + 1e-9:
+    elif 1.0 < p <= 1.0 + slack:
         p = 1.0
     elif not 0.0 <= p <= 1.0:
         raise ArithmeticError(f"expected a probability, got {p!r}")
     return curve.quantile(p)
 
 
-def _certain_from(utility: Curve, eu: float) -> float:
+def _certain_from(utility: Curve, eu: float, spec: QuadratureSpec | None) -> float:
     if utility.is_step:
         raise StepFunctionError(
             "certain equivalent under a step utility is degenerate: the "
             "inverse is a single point whenever EU is strictly inside (0,1)"
         )
-    return _invert(utility, eu)
+    return _invert(utility, eu, spec)
 
 
-def _aspiration_from(lottery: Curve, edu: float) -> float:
+def _aspiration_from(lottery: Curve, edu: float, spec: QuadratureSpec | None) -> float:
     if lottery.is_step:
         raise StepFunctionError(
             "aspiration equivalent of a step lottery is degenerate; the "
             "lottery is the sure amount at its threshold"
         )
-    return _invert(lottery, edu)
+    return _invert(lottery, edu, spec)
 
 
 def expected_utility(
@@ -152,7 +161,7 @@ def certain_equivalent(
     lottery: Curve, utility: Curve, spec: QuadratureSpec | None = None
 ) -> float:
     """Sure amount with the same utility as the lottery: U^-1(EU)."""
-    return _certain_from(utility, expected_utility(lottery, utility, spec))
+    return _certain_from(utility, expected_utility(lottery, utility, spec), spec)
 
 
 def aspiration_equivalent(
@@ -160,7 +169,7 @@ def aspiration_equivalent(
 ) -> float:
     """Outcome level whose step utility matches the pair's expected
     utility: F^-1(EDU). Exceeding it has probability exactly EU."""
-    return _aspiration_from(lottery, expected_disutility(lottery, utility, spec))
+    return _aspiration_from(lottery, expected_disutility(lottery, utility, spec), spec)
 
 
 def exceedance_probability(lottery: Curve, x: float) -> float:
@@ -180,8 +189,8 @@ def evaluate_pair(
     return DualityResult(
         expected_utility=eu,
         expected_disutility=edu,
-        certain_equivalent=_certain_from(utility, eu),
-        aspiration_equivalent=_aspiration_from(lottery, edu),
+        certain_equivalent=_certain_from(utility, eu, spec),
+        aspiration_equivalent=_aspiration_from(lottery, edu, spec),
     )
 
 

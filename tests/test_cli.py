@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aspeq
@@ -434,3 +435,40 @@ class TestIntegralsPerCommand:
         code, _ = run(command, "--scenario", str(FIXTURES / f"{fixture}.json"))
         assert code == 0
         assert len(calls) == integrals
+
+
+class TestIntegrandsAreBatched:
+    """No integrand the package builds falls back to point-by-point calls:
+    every one maps a node array to a value array."""
+
+    @pytest.mark.parametrize(
+        "command,fixture",
+        [("eval", "table2"), ("allocate", "paper_sec2"), ("dominance", "table1"),
+         ("approx", "paper_sec7"), ("delegate", "table2"), ("solve-gamma", "paper_sec4"),
+         ("update-target", "paper_sec4"), ("sweep", "paper_sec2")],
+    )
+    def test_no_pointwise_fallback(self, monkeypatch, command, fixture):
+        monkeypatch.setattr(aspeq.numerics, "_batched", _array_only)
+        code, _ = run(command, "--scenario", str(FIXTURES / f"{fixture}.json"))
+        assert code == 0
+
+    def test_library_integrands(self, monkeypatch):
+        # the ones no bundled fixture reaches
+        from aspeq import ExponentialNormalized, ScaledBeta, ae_cumulant_series
+        from aspeq.dominance import first_moment_by_equal_areas
+
+        monkeypatch.setattr(aspeq.numerics, "_batched", _array_only)
+        F, U = ExponentialNormalized(0.0, 1.0, gamma=2.0), ScaledBeta(0.0, 1.0, alpha=2.0, beta=3.0)
+        ae_cumulant_series(F, U, 4)
+        first_moment_by_equal_areas(U)
+
+
+def _array_only(f):
+    """Stand-in for numerics._batched that refuses the pointwise path."""
+
+    def call(xs):
+        ys = f(xs)
+        assert isinstance(ys, np.ndarray) and ys.shape == xs.shape, f
+        return ys
+
+    return call

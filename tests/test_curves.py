@@ -4,6 +4,7 @@ import dataclasses
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import oracles
@@ -331,3 +332,46 @@ class TestNonFiniteParameters:
         for cls in CURVE_KINDS.values():
             names = {f.name for f in dataclasses.fields(cls)}
             assert set(cls.params.values()) <= names, cls.kind
+
+
+class TestOutOfRangeIntegers:
+    """An int beyond float range is a bad parameter, not an overflow."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ScaledBeta(0, 1, alpha=10**400, beta=2),
+            lambda: Uniform(0, 10**400),
+            lambda: PiecewiseLinear(0, 1, points=((0, 0), (10**400, 0.5), (1, 1))),
+        ],
+        ids=["beta-alpha", "uniform-hi", "knot-x"],
+    )
+    def test_rejected(self, make):
+        with pytest.raises(CurveParameterError, match="must be finite"):
+            make()
+
+    def test_point_is_outside_the_domain(self):
+        with pytest.raises(DomainError, match="outside"):
+            Uniform(0.0, 1.0).value(10**400)
+
+
+@pytest.mark.parametrize("curve", ALL_SMOOTH + [Step(0.0, 1.0, threshold=0.4)], ids=lambda c: c.kind)
+class TestArrayKernels:
+    """value and density take a whole array of points; a float in gives a
+    Python float out."""
+
+    def test_array_matches_pointwise(self, curve):
+        xs = np.linspace(curve.lo, curve.hi, 37)
+        methods = [curve.value] if curve.is_step else [curve.value, curve.density]
+        for method in methods:
+            ys = method(xs)
+            assert isinstance(ys, np.ndarray) and ys.shape == xs.shape
+            assert ys.tolist() == [method(float(x)) for x in xs]
+
+    def test_float_in_float_out(self, curve):
+        assert type(curve.value(0.5 * (curve.lo + curve.hi))) is float
+
+    def test_array_domain_check_names_the_point(self, curve):
+        xs = np.array([curve.lo, curve.hi + 1.0, curve.hi])
+        with pytest.raises(DomainError, match=f"x={curve.hi + 1.0!r}"):
+            curve.value(xs)

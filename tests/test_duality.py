@@ -27,7 +27,8 @@ from aspeq import (
     expected_utility,
     exponential_or_linear,
 )
-from aspeq.duality import GAMMA_SPAN_CAP
+from aspeq.duality import GAMMA_SPAN_CAP, _invert
+from aspeq.numerics import QuadratureSpec
 
 
 def oracle_pair(pdf, Ucdf, updf, Fcdf, lo, hi, splits=()):
@@ -339,3 +340,30 @@ class TestRoleSwap:
     def test_domain_message_names_lottery_and_utility(self):
         with pytest.raises(DomainMismatchError, match=r"lottery domain \[0.0, 1.0\]"):
             expected_disutility(Uniform(0.0, 1.0), Linear(0.0, 2.0))
+
+
+class TestInvertSlack:
+    """EU or EDU past an end of [0, 1] by no more than the quadrature
+    budget is roundoff and snaps; further out it is a real error."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+    def test_within_budget_snaps(self, tol):
+        spec = QuadratureSpec(relative_tolerance=tol)
+        u = Uniform(0.0, 10.0)
+        assert _invert(u, 1.0 + 0.9 * tol, spec) == 10.0
+        assert _invert(u, -0.9 * tol, spec) == 0.0
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+    def test_beyond_budget_raises(self, tol):
+        spec = QuadratureSpec(relative_tolerance=tol)
+        u = Uniform(0.0, 10.0)
+        with pytest.raises(ArithmeticError, match="expected a probability"):
+            _invert(u, 1.0 + 1.1 * tol, spec)
+        with pytest.raises(ArithmeticError, match="expected a probability"):
+            _invert(u, -1.1 * tol, spec)
+
+    def test_default_spec_keeps_its_slack(self):
+        u = Uniform(0.0, 10.0)
+        assert _invert(u, 1.0 + 5e-10, None) == 10.0
+        with pytest.raises(ArithmeticError):
+            _invert(u, 1.0 + 2e-9, None)

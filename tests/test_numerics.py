@@ -3,6 +3,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from aspeq.numerics import (
@@ -197,3 +198,34 @@ class TestCumulants:
 def test_merge_knots():
     assert merge_knots((0.5,), (0.25, 0.5), ()) == (0.25, 0.5)
     assert merge_knots() == ()
+
+
+class TestBatchedIntegrand:
+    def test_array_integrand_gets_one_call_per_round(self):
+        shapes = []
+
+        def f(xs):
+            shapes.append(np.shape(xs))
+            return np.exp(-3.0 * xs) * np.sin(7.0 * xs)
+
+        v = integrate(f, 0.0, 2.0, knots=(0.5, 1.0))
+        want = float(mp.quad(lambda x: mp.exp(-3 * x) * mp.sin(7 * x), [0, 2]))
+        assert v == pytest.approx(want, rel=1e-9)
+        # the opening round samples the three knot pieces together
+        assert shapes[0] == (45,)
+        assert all(len(s) == 1 and s[0] % 30 == 0 for s in shapes[1:])
+
+    def test_scalar_and_array_forms_agree(self):
+        scalar = integrate(lambda x: math.exp(-x) * math.cos(3.0 * x), 0.0, 4.0)
+        array = integrate(lambda x: np.exp(-x) * np.cos(3.0 * x), 0.0, 4.0)
+        assert scalar == pytest.approx(array, rel=1e-12)
+
+    def test_non_finite_in_a_batch_names_its_x(self):
+        with pytest.raises(QuadratureError, match=r"non-finite value at x=0\.5"):
+            integrate(lambda xs: np.where(xs == 0.5, np.nan, xs), 0.0, 1.0)
+
+    def test_sub_ulp_tolerance_stops_at_roundoff(self):
+        # a budget no double can meet ends when the error no longer shows
+        # in the total, instead of refining to the depth limit
+        spec = QuadratureSpec(relative_tolerance=1e-30, absolute_tolerance=1e-30)
+        assert integrate(math.sin, 0.0, math.pi, spec) == pytest.approx(2.0, rel=1e-15)
