@@ -134,11 +134,15 @@ def spread_tolerance(F: Curve, x: float) -> float:
 
 
 def ce_taylor2(
-    F: Curve, U: Curve, spec: QuadratureSpec | None = None
+    F: Curve,
+    U: Curve,
+    spec: QuadratureSpec | None = None,
+    moments: tuple[float, float] | None = None,
 ) -> ApproxReport:
     """Certain equivalent to second order: lottery mean minus half its
-    variance over the risk tolerance at the mean."""
-    mean, var = F.density_moments(spec)
+    variance over the risk tolerance at the mean. moments, when given, is
+    F.density_moments(spec), computed once for a lottery met again."""
+    mean, var = moments or F.density_moments(spec)
     rt = risk_tolerance(U, mean)
     term = 0.0 if math.isinf(rt) else -0.5 * var / rt
     approx = mean + term
@@ -154,11 +158,15 @@ def ce_taylor2(
 
 
 def ae_taylor2(
-    F: Curve, U: Curve, spec: QuadratureSpec | None = None
+    F: Curve,
+    U: Curve,
+    spec: QuadratureSpec | None = None,
+    moments: tuple[float, float] | None = None,
 ) -> ApproxReport:
     """Aspiration equivalent to second order: utility-density mean minus
-    half its variance over the lottery's spread tolerance at that mean."""
-    mean, var = U.density_moments(spec)
+    half its variance over the lottery's spread tolerance at that mean.
+    moments, when given, is U.density_moments(spec)."""
+    mean, var = moments or U.density_moments(spec)
     try:
         st = spread_tolerance(F, mean)
     except CurvatureError as exc:

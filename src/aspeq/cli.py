@@ -24,6 +24,7 @@ import math
 import sys
 import warnings
 from dataclasses import asdict
+from functools import cache
 from typing import Any, Callable, TextIO
 
 from .approximations import (
@@ -34,7 +35,7 @@ from .approximations import (
     risk_tolerance,
     spread_tolerance,
 )
-from .curves import CurveError, ExponentialNormalized
+from .curves import CurveError, CurveParameterError, ExponentialNormalized
 from .delegation import desiderata_report, update_target
 from .dominance import (
     dominance_implications,
@@ -42,7 +43,7 @@ from .dominance import (
     first_order_dominates,
     second_order_dominates,
 )
-from .duality import aspiration_equivalent, certain_equivalent, effective_gamma, exponential_or_linear
+from .duality import aspiration_equivalent, effective_gamma, equivalents, exponential_or_linear
 from .numerics import NumericsError, QuadratureSpec
 from .scenarios import Scenario, ScenarioError, _number, load_scenario
 from .selection import EvalMatrix, allocate_eu_matrix, allocation_sums, evaluate_matrix, find_pure_saddle
@@ -261,15 +262,24 @@ def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> _Out:
         )
     spec = _quad_spec(args)
     f = scenario.lotteries[0].curve
+    grid = _gamma_grid(scenario, args)
+    # a gamma with no curve ends the grid; the gammas before it still
+    # fail first, as they would one at a time
+    pairs, refused = [], None
+    for g in grid:
+        try:
+            pairs.append((f, exponential_or_linear(scenario.lo, scenario.hi, g)))
+        except CurveParameterError as exc:
+            refused = exc
+            break
     out = _Out()
     out.table_row("gamma", "certain_equivalent", "aspiration_equivalent")
     rows = []
-    for g in _gamma_grid(scenario, args):
-        u = exponential_or_linear(scenario.lo, scenario.hi, g)
-        ce = certain_equivalent(f, u, spec)
-        ae = aspiration_equivalent(f, u, spec)
+    for g, (ce, ae) in zip(grid, equivalents(pairs, spec)):
         out.table_row(g, ce, ae)
         rows.append({"gamma": g, "certain_equivalent": ce, "aspiration_equivalent": ae})
+    if refused is not None:
+        raise refused
     out.doc = {"lottery": scenario.lotteries[0].name, "sweep": rows}
     return out
 
@@ -486,12 +496,16 @@ def _cmd_approx(scenario: Scenario, args: argparse.Namespace) -> _Out:
             out.row(label, fn, un, value)
             out.computed[f"{label}:{fn}:{un}"] = value
 
+    # each curve's moments once, at its first pair, where a refusal
+    # would first be raised anyway
+    moments_of = cache(lambda curve: curve.density_moments(spec))
+
     for fn_named in scenario.lotteries:
         for un_named in scenario.utilities:
             fn, un = fn_named.name, un_named.name
             F, U = fn_named.curve, un_named.curve
-            ce = ce_taylor2(F, U, spec)
-            ae = ae_taylor2(F, U, spec)
+            ce = ce_taylor2(F, U, spec, moments_of(F))
+            ae = ae_taylor2(F, U, spec, moments_of(U))
             values = {
                 "lottery_mean": ce.first_moment,
                 "lottery_var": ce.central_second_moment,

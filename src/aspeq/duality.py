@@ -18,12 +18,17 @@ is a genuine numerical cross-check. A second consequence worth naming: the
 probability of exceeding the aspiration equivalent, 1 - F(AE), equals EU.
 Maximizing exceedance over lotteries is therefore the same decision as
 maximizing expected utility; delegation builds on exactly that.
+
+Many pairs at once (a matrix, a gamma grid) go through one lockstep batch
+of quadratures; each value, and the first error, is what the pairs give
+one at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import Iterator, Sequence
 
 from .curves import (
     Curve,
@@ -38,6 +43,7 @@ from .numerics import (
     RootBracket,
     find_root,
     integrate,
+    integrate_many,
     merge_knots,
 )
 
@@ -77,15 +83,21 @@ def _require_shared_domain(lottery: Curve, utility: Curve) -> None:
         )
 
 
-def _pair_integral(
-    weight: Curve, curve: Curve, spec: QuadratureSpec | None, weight_role: str
-) -> float:
-    """Integral of weight's density times curve's value over the shared
-    interval: EU is (lottery, utility), EDU is (utility, lottery).
+def _pair_job(lottery: Curve, utility: Curve, role: str) -> float | tuple:
+    """expected_utility (role "eu") or expected_disutility ("edu") up to
+    its quadrature: a step shortcut's value, or the (integrand, lo, hi,
+    knots) job to integrate.
 
-    Step shortcuts: a step weight at t puts all its mass on t, giving
-    curve(t); a step curve at t is 1 above t, giving 1 - weight(t).
+    Both integrate one curve's density (the weight) times the other's
+    value over the shared interval: EU weights the utility by the
+    lottery, EDU the lottery by the utility. Step shortcuts: a step weight
+    at t puts all its mass on t, giving curve(t); a step curve at t is 1
+    above t, giving 1 - weight(t).
     """
+    _require_shared_domain(lottery, utility)
+    weight, curve, weight_role = (
+        (lottery, utility, "lottery") if role == "eu" else (utility, lottery, "utility")
+    )
     if weight.is_step and curve.is_step:
         raise StepFunctionError("both curves are steps; the pairing is degenerate")
     if weight.is_step:
@@ -101,9 +113,48 @@ def _pair_integral(
     knots = merge_knots(
         weight.kinks(), curve.kinks(), weight.sample_hints(), curve.sample_hints()
     )
-    return integrate(
-        lambda x: weight.density(x) * curve.value(x), weight.lo, weight.hi, spec, knots
-    )
+    return (lambda x: weight.density(x) * curve.value(x), weight.lo, weight.hi, knots)
+
+
+def _pair_integral(
+    lottery: Curve, utility: Curve, spec: QuadratureSpec | None, role: str
+) -> float:
+    job = _pair_job(lottery, utility, role)
+    if not isinstance(job, tuple):
+        return job
+    f, lo, hi, knots = job
+    return integrate(f, lo, hi, spec, knots)
+
+
+def _outcomes(
+    pairs: Sequence[tuple[Curve, Curve]], roles: tuple[str, ...], spec: QuadratureSpec | None
+) -> list[list]:
+    """For each (lottery, utility) pair, its integral in each role ("eu"
+    for expected_utility, "edu" for expected_disutility) as a value or as
+    the exception that function raises for it. All the quadratures run in
+    one integrate_many batch."""
+    outcomes: list = []
+    jobs, slots = [], []
+    for lottery, utility in pairs:
+        for role in roles:
+            try:
+                outcome = _pair_job(lottery, utility, role)
+            except Exception as exc:  # raised when its pair is read
+                outcome = exc
+            if isinstance(outcome, tuple):
+                jobs.append(outcome)
+                slots.append(len(outcomes))
+            outcomes.append(outcome)
+    for k, value in zip(slots, integrate_many(jobs, spec, return_exceptions=True)):
+        outcomes[k] = value
+    n = len(roles)
+    return [outcomes[k : k + n] for k in range(0, len(outcomes), n)]
+
+
+def _settled(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _invert(curve: Curve, p: float, spec: QuadratureSpec | None) -> float:
@@ -144,8 +195,7 @@ def expected_utility(
 ) -> float:
     """Integral of lottery density times utility value. A step lottery at
     t gives U(t); a step utility at t gives 1 - F(t)."""
-    _require_shared_domain(lottery, utility)
-    return _pair_integral(lottery, utility, spec, "lottery")
+    return _pair_integral(lottery, utility, spec, "eu")
 
 
 def expected_disutility(
@@ -153,8 +203,7 @@ def expected_disutility(
 ) -> float:
     """Integral of utility density times lottery value: expected_utility
     with the two roles swapped, integrated on its own."""
-    _require_shared_domain(lottery, utility)
-    return _pair_integral(utility, lottery, spec, "utility")
+    return _pair_integral(lottery, utility, spec, "edu")
 
 
 def certain_equivalent(
@@ -177,6 +226,17 @@ def exceedance_probability(lottery: Curve, x: float) -> float:
     return 1.0 - lottery.value(x)
 
 
+def _result(
+    lottery: Curve, utility: Curve, eu: float, edu: float, spec: QuadratureSpec | None
+) -> DualityResult:
+    return DualityResult(
+        expected_utility=eu,
+        expected_disutility=edu,
+        certain_equivalent=_certain_from(utility, eu, spec),
+        aspiration_equivalent=_aspiration_from(lottery, edu, spec),
+    )
+
+
 def evaluate_pair(
     lottery: Curve, utility: Curve, spec: QuadratureSpec | None = None
 ) -> DualityResult:
@@ -186,12 +246,40 @@ def evaluate_pair(
     aspiration equivalent, so either step is refused."""
     eu = expected_utility(lottery, utility, spec)
     edu = expected_disutility(lottery, utility, spec)
-    return DualityResult(
-        expected_utility=eu,
-        expected_disutility=edu,
-        certain_equivalent=_certain_from(utility, eu, spec),
-        aspiration_equivalent=_aspiration_from(lottery, edu, spec),
-    )
+    return _result(lottery, utility, eu, edu, spec)
+
+
+def evaluate_pairs(
+    pairs: Sequence[tuple[Curve, Curve]], spec: QuadratureSpec | None = None
+) -> Iterator[DualityResult]:
+    """evaluate_pair of each (lottery, utility) pair, in turn.
+
+    Every pair's EU and EDU are integrated in one lockstep batch before
+    the first result is yielded. Each result, and the exception raised
+    at the first pair that fails, is what evaluate_pair gives."""
+    for (f, u), (eu, edu) in zip(pairs, _outcomes(pairs, ("eu", "edu"), spec)):
+        yield _result(f, u, _settled(eu), _settled(edu), spec)
+
+
+def expected_utilities(
+    pairs: Sequence[tuple[Curve, Curve]], spec: QuadratureSpec | None = None
+) -> list[float]:
+    """expected_utility of each (lottery, utility) pair, integrated in one
+    lockstep batch; the first pair that fails raises what
+    expected_utility raises."""
+    return [_settled(eu) for (eu,) in _outcomes(pairs, ("eu",), spec)]
+
+
+def equivalents(
+    pairs: Sequence[tuple[Curve, Curve]], spec: QuadratureSpec | None = None
+) -> Iterator[tuple[float, float]]:
+    """(certain_equivalent, aspiration_equivalent) of each (lottery,
+    utility) pair, in turn, from one lockstep batch of all their EU and
+    EDU integrals. A pair fails as certain_equivalent then
+    aspiration_equivalent would."""
+    for (f, u), (eu, edu) in zip(pairs, _outcomes(pairs, ("eu", "edu"), spec)):
+        ce = _certain_from(u, _settled(eu), spec)
+        yield ce, _aspiration_from(f, _settled(edu), spec)
 
 
 def effective_gamma(

@@ -7,7 +7,9 @@ The quadrature is globally adaptive Gauss-Kronrod 7/15: each panel's
 22, and its distance from the embedded 7-node Gauss sum gives QUADPACK's
 error estimate. Integrands take a whole array of nodes per call. Callers
 that know where an integrand loses smoothness pass those abscissae as
-knots; panels never straddle a knot.
+knots; panels never straddle a knot. integrate_many refines many
+independent integrals in one lockstep loop, each exactly as integrate
+would.
 """
 
 from __future__ import annotations
@@ -141,26 +143,81 @@ def _batched(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return call
 
 
-def _gk15(call, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod estimate and QUADPACK error estimate of each panel [a, b],
-    all panels' nodes evaluated in one call."""
-    center, half = 0.5 * (a + b), 0.5 * (b - a)
-    xs = (center[:, None] + half[:, None] * _NODES).ravel()
+def _opening(lo: float, hi: float, knots: Iterable[float]) -> np.ndarray | None:
+    """Cut points of the opening panels, one panel per knot interval; None
+    for an empty interval."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("integration limits must be finite")
+    if hi < lo:
+        raise ValueError("integration limits must satisfy lo <= hi")
+    if hi == lo:
+        return None
+    return np.array([lo, *(k for k in sorted(set(map(float, knots))) if lo < k < hi), hi])
+
+
+def _sampled(call, xs: np.ndarray) -> np.ndarray:
+    """One integral's values at the nodes xs of its new panels, one row
+    per panel."""
     ys = call(xs)
     bad = ~np.isfinite(ys)
     if bad.any():
         x = float(xs[np.argmax(bad)])
         raise QuadratureError(f"integrand returned a non-finite value at x={x!r}")
-    ys = ys.reshape(len(a), len(_NODES))
-    kronrod = ys @ _KRONROD
-    gap = np.abs(kronrod - ys @ _GAUSS)
-    # resasc: the integrand's variation about its mean; when the two rules
-    # agree closely the raw gap is scaled down by the 3/2 power
-    # (Piessens et al., QUADPACK, 1983)
-    resasc = np.abs(ys - 0.5 * kronrod[:, None]) @ _KRONROD
+    return ys.reshape(-1, len(_NODES))
+
+
+def _error(kronrod: np.ndarray, gauss: np.ndarray, resasc: np.ndarray) -> np.ndarray:
+    """QUADPACK's error estimate on [-1, 1] from the two rules' sums and
+    resasc, the integrand's variation about its mean: when the rules
+    agree closely their gap is scaled down by the 3/2 power (Piessens et
+    al., QUADPACK, 1983)."""
+    gap = np.abs(kronrod - gauss)
     safe = np.where(resasc > 0.0, resasc, 1.0)
-    error = np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * gap / safe) ** 1.5), gap)
-    return half * kronrod, half * error
+    return np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * gap / safe) ** 1.5), gap)
+
+
+def _nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 15 nodes of each panel [a, b], one row per panel, and the half
+    widths that scale the rules from [-1, 1]."""
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    return center[:, None] + half[:, None] * _NODES, half
+
+
+def _gk15(call, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod estimate and QUADPACK error estimate of each panel [a, b],
+    all panels' nodes evaluated in one call."""
+    xs, half = _nodes(a, b)
+    ys = _sampled(call, xs.ravel())
+    kronrod = ys @ _KRONROD
+    resasc = np.abs(ys - 0.5 * kronrod[:, None]) @ _KRONROD
+    return half * kronrod, half * _error(kronrod, ys @ _GAUSS, resasc)
+
+
+def _stop(total: float, remaining: float, spec: QuadratureSpec) -> tuple[float, bool]:
+    """One integral's error budget and whether its refinement is over: the
+    summed estimate is within max(absolute_tolerance, relative_tolerance *
+    |I|), or past the budget it no longer shows in the total's last bit
+    (Gander and Gautschi, BIT 2000), since a tolerance below machine
+    precision asks for what no refinement can give."""
+    budget = max(spec.absolute_tolerance, spec.relative_tolerance * abs(total))
+    return budget, remaining <= budget or total + remaining == total
+
+
+def _split_counts(errors: np.ndarray, remaining, budget):
+    """How many panels each integral splits this round: its worst ones,
+    until the error left in the others is under half its budget (a count
+    one past an integral's panels means all of them). errors holds each
+    integral's panel errors largest first along its last axis, padded
+    with inf."""
+    rest = remaining - np.cumsum(errors, axis=-1)
+    return (rest >= 0.5 * budget).sum(axis=-1) + 1
+
+
+def _exhausted(a: float, b: float, value: float, error: float) -> QuadratureError:
+    return QuadratureError(
+        f"refinement depth exhausted on [{a!r}, {b!r}]: best "
+        f"estimate {value!r}, error bound {error:.3e}"
+    )
 
 
 def integrate(
@@ -186,38 +243,26 @@ def integrate(
     panels hoard tolerance.
     """
     spec = spec or DEFAULT_QUADRATURE
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("integration limits must be finite")
-    if hi < lo:
-        raise ValueError("integration limits must satisfy lo <= hi")
-    if hi == lo:
+    cuts = _opening(lo, hi, knots)
+    if cuts is None:
         return 0.0
-
-    cuts = np.array([lo, *(k for k in sorted(set(map(float, knots))) if lo < k < hi), hi])
     a, b = cuts[:-1], cuts[1:]
     depth = np.full(len(a), spec.max_subdivision_depth)
     call = _batched(f)
     value, error = _gk15(call, a, b)
     while True:
         total = float(value.sum())
-        budget = max(spec.absolute_tolerance, spec.relative_tolerance * abs(total))
         remaining = float(error.sum())
-        # past the budget, also stop once the error no longer shows in the
-        # total's last bit (Gander and Gautschi, BIT 2000): a tolerance below
-        # machine precision asks for what no refinement can give
-        if remaining <= budget or total + remaining == total:
+        budget, done = _stop(total, remaining, spec)
+        if done:
             break
         order = np.argsort(-error, kind="stable")
-        rest = remaining - np.cumsum(error[order])
-        split = order[: min(len(order), int(np.count_nonzero(rest >= 0.5 * budget)) + 1)]
+        split = order[: _split_counts(error[order], remaining, budget)]
         mid = 0.5 * (a[split] + b[split])
         stuck = (depth[split] <= 0) | (mid <= a[split]) | (mid >= b[split])
         if stuck.any():
             i = split[np.argmax(stuck)]
-            raise QuadratureError(
-                f"refinement depth exhausted on [{float(a[i])!r}, {float(b[i])!r}]: best "
-                f"estimate {float(value[i])!r}, error bound {float(error[i]):.3e}"
-            )
+            raise _exhausted(float(a[i]), float(b[i]), float(value[i]), float(error[i]))
         keep = np.ones(len(a), dtype=bool)
         keep[split] = False
         new_a = np.concatenate([a[split], mid])
@@ -231,6 +276,171 @@ def integrate(
     # fsum over the surviving panels is exact, so the result cannot depend
     # on the order the panels were split in
     return math.fsum(value.tolist())
+
+
+def integrate_many(
+    jobs: Sequence[tuple[Callable, float, float, Iterable[float]]],
+    spec: QuadratureSpec | None = None,
+    return_exceptions: bool = False,
+) -> list:
+    """integrate(f, lo, hi, spec, knots) of each (f, lo, hi, knots) job,
+    with all the integrals refined in one lockstep loop.
+
+    Each integral keeps its own panels, budget, depth limit and stopping
+    rule, and each value is bit for bit what integrate() returns for its
+    job. What the loop shares is the bookkeeping of a round: node
+    placement, error estimates, sorting, splitting and merging run once
+    over every integral's panels. Each integrand still gets one call per
+    round for its own new nodes.
+
+    A job that fails (bad limits, an integrand error, a non-finite value,
+    depth exhausted) stops alone and the others run on. Then the first
+    failed job, in job order, raises its exception; with
+    return_exceptions the exception takes the job's place in the list.
+    """
+    spec = spec or DEFAULT_QUADRATURE
+    results: list = [None] * len(jobs)
+    calls: dict[int, Callable] = {}
+    opened: list[tuple[int, np.ndarray]] = []
+    for n, (f, lo, hi, knots) in enumerate(jobs):
+        try:
+            cuts = _opening(lo, hi, knots)
+        except (TypeError, ValueError) as exc:
+            results[n] = exc
+            continue
+        if cuts is None:
+            results[n] = 0.0
+        else:
+            calls[n] = _batched(f)
+            opened.append((n, cuts))
+    if opened:
+        owner = np.concatenate([np.full(len(cuts) - 1, n) for n, cuts in opened])
+        a = np.concatenate([cuts[:-1] for _, cuts in opened])
+        b = np.concatenate([cuts[1:] for _, cuts in opened])
+        _refine_many(calls, owner, a, b, spec, results)
+    if not return_exceptions:
+        for r in results:
+            if isinstance(r, Exception):
+                raise r
+    return results
+
+
+def _segments(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and size of each integral's run of panels in owner, which
+    holds each integral's panels together."""
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    return starts, np.diff(starts, append=len(owner))
+
+
+def _gk15_many(calls, owner, a, b, results) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_gk15 of the new panels of several integrals, grouped by owner.
+
+    Each integral samples its own nodes in one call, and its rows go
+    through the three matrix-vector products on their own: stacked with
+    other integrals' rows, the products round differently. An integral
+    whose integrand raises or returns a non-finite value gets that
+    exception as its result; the returned mask marks the panels of the
+    integrals that did not fail, which the values and errors cover."""
+    xs, half = _nodes(a, b)
+    starts, sizes = _segments(owner)
+    ok = np.ones(len(a), dtype=bool)
+    kronrod, gauss, resasc = [], [], []
+    for s, e in zip(starts.tolist(), (starts + sizes).tolist()):
+        n = int(owner[s])
+        try:
+            y = _sampled(calls[n], xs[s:e].ravel())
+        except Exception as exc:  # raised later, in job order
+            results[n] = exc
+            ok[s:e] = False
+            continue
+        k = y @ _KRONROD
+        kronrod.append(k)
+        gauss.append(y @ _GAUSS)
+        resasc.append(np.abs(y - 0.5 * k[:, None]) @ _KRONROD)
+    if not kronrod:
+        return np.empty(0), np.empty(0), ok
+    kronrod, gauss, resasc = map(np.concatenate, (kronrod, gauss, resasc))
+    half = half[ok]
+    return half * kronrod, half * _error(kronrod, gauss, resasc), ok
+
+
+def _refine_many(calls, owner, a, b, spec: QuadratureSpec, results: list) -> None:
+    """integrate()'s refinement loop over every open integral at once.
+
+    Panels live in flat arrays, each integral's together and in the order
+    integrate() keeps them: kept panels, then the left halves, then the
+    right halves of those split, both in split order. The sums that decide
+    the stopping test (ndarray.sum) and the split order run on each
+    integral's own panels in that order, which keeps every value bit for
+    bit; the rest of a round, the stopping test itself aside, is
+    vectorized across integrals."""
+    depth = np.full(len(a), spec.max_subdivision_depth)
+    value, error, ok = _gk15_many(calls, owner, a, b, results)
+    owner, a, b, depth = owner[ok], a[ok], b[ok], depth[ok]
+    while len(owner):
+        starts, sizes = _segments(owner)
+        remaining, budget, done = [], [], []
+        for s, e in zip(starts.tolist(), (starts + sizes).tolist()):
+            left = float(error[s:e].sum())
+            limit, stop = _stop(float(value[s:e].sum()), left, spec)
+            if stop:
+                results[int(owner[s])] = math.fsum(value[s:e].tolist())
+            remaining.append(left)
+            budget.append(limit)
+            done.append(stop)
+        done = np.array(done)
+        remaining, budget = np.array(remaining)[~done], np.array(budget)[~done]
+        live = np.repeat(~done, sizes)
+        owner, a, b, depth = owner[live], a[live], b[live], depth[live]
+        value, error = value[live], error[live]
+        if not len(owner):
+            break
+        sizes = sizes[~done]
+
+        # each integral's panels by falling error, ties in panel order, one
+        # row per integral for the running sums
+        order = np.lexsort((-error, owner))
+        row = np.repeat(np.arange(len(sizes)), sizes)
+        rank = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        errors = np.full((len(sizes), int(sizes.max())), np.inf)
+        errors[row, rank] = error[order]
+        counts = _split_counts(errors, remaining[:, None], budget[:, None])
+        split = order[rank < np.repeat(counts, sizes)]
+
+        mid = 0.5 * (a[split] + b[split])
+        stuck = (depth[split] <= 0) | (mid <= a[split]) | (mid >= b[split])
+        failed = []
+        for t in np.flatnonzero(stuck).tolist():
+            i = split[t]
+            n = int(owner[i])
+            if results[n] is None:  # the first stuck panel in split order
+                results[n] = _exhausted(float(a[i]), float(b[i]), float(value[i]), float(error[i]))
+                failed.append(n)
+        if failed:
+            going = ~np.isin(owner[split], failed)
+            split, mid = split[going], mid[going]
+
+        keep = np.ones(len(owner), dtype=bool)
+        keep[split] = False
+        new_owner = np.concatenate([owner[split], owner[split]])
+        halves = np.argsort(new_owner, kind="stable")  # lefts, then rights
+        new_owner = new_owner[halves]
+        new_a = np.concatenate([a[split], mid])[halves]
+        new_b = np.concatenate([mid, b[split]])[halves]
+        new_depth = np.concatenate([depth[split] - 1, depth[split] - 1])[halves]
+        new_value, new_error, ok = _gk15_many(calls, new_owner, new_a, new_b, results)
+        failed.extend(np.unique(new_owner[~ok]).tolist())
+        if failed:
+            keep &= ~np.isin(owner, failed)
+
+        owner = np.concatenate([owner[keep], new_owner[ok]])
+        merged = np.argsort(owner, kind="stable")  # kept panels, then new
+        owner = owner[merged]
+        a = np.concatenate([a[keep], new_a[ok]])[merged]
+        b = np.concatenate([b[keep], new_b[ok]])[merged]
+        depth = np.concatenate([depth[keep], new_depth[ok]])[merged]
+        value = np.concatenate([value[keep], new_value])[merged]
+        error = np.concatenate([error[keep], new_error])[merged]
 
 
 def find_root(g: Callable[[float], float], bracket: RootBracket) -> float:

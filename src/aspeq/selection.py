@@ -6,7 +6,8 @@ lottery list crossed with a utility list. Read as a zero-sum game on the
 EU matrix, the lottery side picks rows to raise EU and the utility side
 picks columns to lower it; a pure saddle is a cell that is at once a
 column maximum and a row minimum. A cell's EU and EDU are duality's one
-pair integral with the roles swapped, each integrated once per cell.
+pair integral with the roles swapped, each integrated once per cell, and
+all of a matrix's integrals are refined together in one lockstep batch.
 
 Allocation runs on an EU matrix: allocate_eu_matrix matches N lotteries
 to N utilities by repeatedly pairing the current saddle cell and
@@ -24,7 +25,8 @@ from .duality import (
     DomainMismatchError,
     DualityResult,
     aspiration_equivalent,
-    evaluate_pair,
+    evaluate_pairs,
+    expected_utilities,
     expected_utility,
 )
 from .numerics import QuadratureSpec
@@ -123,12 +125,13 @@ def evaluate_matrix(
     """All four quantities for every (lottery, utility) cell."""
     if not lotteries or not utilities:
         raise ValueError("need at least one lottery and one utility")
+    results = evaluate_pairs([(f, u) for f in lotteries for u in utilities], spec)
     rows: list[list[DualityResult]] = []
-    for i, f in enumerate(lotteries):
+    for i in range(len(lotteries)):
         row: list[DualityResult] = []
-        for j, u in enumerate(utilities):
+        for j in range(len(utilities)):
             try:
-                row.append(evaluate_pair(f, u, spec))
+                row.append(next(results))
             except DomainMismatchError as exc:
                 raise DomainMismatchError(f"cell ({i}, {j}): {exc}") from exc
         rows.append(row)
@@ -178,7 +181,9 @@ def saddle_allocate(
     spec: QuadratureSpec | None = None,
 ) -> Allocation:
     """allocate_eu_matrix on the EU matrix of lotteries x utilities."""
-    eu = [[expected_utility(f, u, spec) for u in utilities] for f in lotteries]
+    values = expected_utilities([(f, u) for f in lotteries for u in utilities], spec)
+    n = len(utilities)
+    eu = [values[i * n : (i + 1) * n] for i in range(len(lotteries))]
     return allocate_eu_matrix(eu)
 
 

@@ -236,6 +236,22 @@ class TestApprox:
         assert code == 0
         assert "cumulant series" not in text
 
+    def test_moments_once_per_curve(self, monkeypatch):
+        from aspeq.curves import Curve
+
+        seen = []
+        moments = Curve.density_moments
+
+        def counting(curve, spec=None):
+            seen.append(curve)
+            return moments(curve, spec)
+
+        monkeypatch.setattr(Curve, "density_moments", counting)
+        code, _ = run("approx", "--scenario", str(FIXTURES / "table2.json"))
+        assert code == 0
+        # 3 lotteries and 3 utilities, where each of the 9 pairs used to ask twice
+        assert len(seen) == 6
+
 
 class TestSolveGamma:
     def test_achieves_target(self, tmp_path):
@@ -406,7 +422,8 @@ class TestNumberValidation:
 
 class TestIntegralsPerCommand:
     """Each (lottery, utility) pair is integrated once per command: one EU
-    and one EDU at most, counted at the pair integral's quadrature call."""
+    and one EDU at most, counted at the pair integral's quadrature call
+    and at each job handed to the lockstep batch."""
 
     @pytest.mark.parametrize(
         "command,fixture,integrals",
@@ -425,13 +442,18 @@ class TestIntegralsPerCommand:
         import aspeq.duality as duality
 
         calls = []
-        integrate = duality.integrate
+        integrate, integrate_many = duality.integrate, duality.integrate_many
 
         def counting(*args, **kwargs):
             calls.append(args)
             return integrate(*args, **kwargs)
 
+        def counting_many(jobs, *args, **kwargs):
+            calls.extend(jobs)
+            return integrate_many(jobs, *args, **kwargs)
+
         monkeypatch.setattr(duality, "integrate", counting)
+        monkeypatch.setattr(duality, "integrate_many", counting_many)
         code, _ = run(command, "--scenario", str(FIXTURES / f"{fixture}.json"))
         assert code == 0
         assert len(calls) == integrals

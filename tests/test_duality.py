@@ -27,7 +27,7 @@ from aspeq import (
     expected_utility,
     exponential_or_linear,
 )
-from aspeq.duality import GAMMA_SPAN_CAP, _invert
+from aspeq.duality import GAMMA_SPAN_CAP, _invert, equivalents
 from aspeq.numerics import QuadratureSpec
 
 
@@ -134,6 +134,23 @@ class TestDualityIdentity:
 
 
 class TestEquivalents:
+    def test_batch_matches_one_pair_at_a_time(self, catalog):
+        pairs = list(zip(*catalog))
+        want = [(certain_equivalent(f, u), aspiration_equivalent(f, u)) for f, u in pairs]
+        assert list(equivalents(pairs)) == want
+
+    def test_batch_fails_as_the_first_failing_pair(self):
+        F = Triangular(0.0, 1.0)
+        singular = ScaledBeta(0.0, 1.0, alpha=0.5, beta=2.0)
+        # the second pair's certain equivalent is fine, its aspiration
+        # equivalent integrates the singular utility density
+        pairs = [(F, Linear(0.0, 1.0)), (F, singular), (F, Step(0.0, 1.0, threshold=0.5))]
+        with pytest.raises(SingularDensityError) as alone:
+            aspiration_equivalent(F, singular)
+        with pytest.raises(SingularDensityError) as batch:
+            list(equivalents(pairs))
+        assert str(batch.value) == str(alone.value)
+
     def test_ce_inverts_utility(self):
         F = Triangular(0.0, 200.0)
         U = ExponentialNormalized(0.0, 200.0, gamma=0.03)

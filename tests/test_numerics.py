@@ -16,6 +16,7 @@ from aspeq.numerics import (
     cumulants,
     find_root,
     integrate,
+    integrate_many,
     merge_knots,
     second_difference,
 )
@@ -229,3 +230,69 @@ class TestBatchedIntegrand:
         # in the total, instead of refining to the depth limit
         spec = QuadratureSpec(relative_tolerance=1e-30, absolute_tolerance=1e-30)
         assert integrate(math.sin, 0.0, math.pi, spec) == pytest.approx(2.0, rel=1e-15)
+
+
+def _bits(outcome):
+    """A result as its exact bits, an exception as its type and message."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return float(outcome).hex()
+
+
+def _alone(f, lo, hi, knots, spec=None):
+    try:
+        return integrate(f, lo, hi, spec, knots)
+    except Exception as exc:
+        return exc
+
+
+class TestIntegrateMany:
+    @staticmethod
+    def catalog_jobs():
+        """The tolerance catalog's EU and EDU jobs, with an empty interval,
+        knots outside the interval and a callable of floats only mixed in."""
+        from test_tolerance import CATALOG
+
+        from aspeq.duality import _pair_job
+
+        jobs = [_pair_job(f, u, role) for _, f, u in CATALOG for role in ("eu", "edu")]
+        jobs.insert(3, (np.exp, 2.0, 2.0, ()))
+        jobs.insert(8, (lambda x: x * x, 0.0, 1.0, (-5.0, 0.5, 7.0)))
+        jobs.insert(12, (lambda x: math.sqrt(abs(x - 0.3)) if x > 0.0 else 0.0, -1.0, 1.0, (0.3,)))
+        return jobs
+
+    @pytest.mark.parametrize("tol", (1e-3, 1e-6, 1e-9, 1e-12))
+    def test_bit_identical_to_integrate(self, tol):
+        # depth 16: at 1e-12 the boundary-layer EDU never meets its budget
+        # (its truncated-Gaussian CDF is only good to about 2e-10 there), and
+        # at the default depth it refines to tens of millions of nodes;
+        # capped, it stays in the batch as a depth-exhausted job
+        spec = QuadratureSpec(relative_tolerance=tol, max_subdivision_depth=16)
+        jobs = self.catalog_jobs()
+        want = [_bits(_alone(*job, spec)) for job in jobs]
+        got = integrate_many(jobs, spec, return_exceptions=True)
+        assert [_bits(r) for r in got] == want
+
+    @pytest.mark.parametrize("first", ("non_finite", "depth"))
+    def test_first_failing_job_raises(self, first):
+        nan_at_half = (lambda xs: np.where(xs == 0.5, np.nan, xs), 0.0, 1.0, ())
+        pole = (lambda x: 1.0 / max(x, 1e-300), 0.0, 1.0, ())
+        smooth = (np.exp, 0.0, 1.0, ())
+        failing = [nan_at_half, pole] if first == "non_finite" else [pole, nan_at_half]
+        jobs = [smooth, failing[0], smooth, failing[1], smooth]
+        alone = _alone(*failing[0])
+        assert isinstance(alone, QuadratureError)
+        with pytest.raises(QuadratureError) as batch:
+            integrate_many(jobs)
+        assert str(batch.value) == str(alone)
+        got = integrate_many(jobs, return_exceptions=True)
+        assert [_bits(r) for r in got] == [_bits(_alone(*job)) for job in jobs]
+
+    def test_bad_limits_and_integrand_errors_are_outcomes(self):
+        def broken(xs):
+            raise ZeroDivisionError("integrand bug")
+
+        jobs = [(np.exp, 1.0, 0.0, ()), (broken, 0.0, 1.0, ()), (np.exp, 0.0, math.inf, ())]
+        got = integrate_many(jobs, return_exceptions=True)
+        assert [type(r) for r in got] == [ValueError, ZeroDivisionError, ValueError]
+        assert integrate_many([]) == []

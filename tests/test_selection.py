@@ -9,11 +9,14 @@ from aspeq import (
     DomainMismatchError,
     ExponentialNormalized,
     ScaledBeta,
+    Step,
     Uniform,
+    allocate_eu_matrix,
     allocation_sums,
     aspiration_equivalent,
     dual_select,
     evaluate_matrix,
+    evaluate_pair,
     expected_utility,
     find_pure_saddle,
     saddle_allocate,
@@ -51,6 +54,78 @@ class TestEvaluateMatrix:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             evaluate_matrix([], UTS)
+
+
+def _reference_matrix(lotteries, utilities):
+    """evaluate_matrix cell by cell through evaluate_pair, stopping at the
+    first cell that raises: (EU, EDU, CE, AE) rows, or (type, message)."""
+    rows = []
+    for i, f in enumerate(lotteries):
+        row = []
+        for j, u in enumerate(utilities):
+            try:
+                r = evaluate_pair(f, u)
+            except DomainMismatchError as exc:
+                return DomainMismatchError, f"cell ({i}, {j}): {exc}"
+            except Exception as exc:
+                return type(exc), str(exc)
+            row.append((r.expected_utility, r.expected_disutility, r.certain_equivalent, r.aspiration_equivalent))
+        rows.append(row)
+    return rows
+
+
+def _batched_matrix(lotteries, utilities):
+    try:
+        m = evaluate_matrix(lotteries, utilities)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [list(zip(*cells)) for cells in zip(m.eu, m.edu, m.ce, m.ae)]
+
+
+SINGULAR = ScaledBeta(0.0, 1.0, alpha=0.5, beta=2.0)
+ELSEWHERE = ScaledBeta(0.0, 2.0, alpha=2.0, beta=2.0)
+STEP = Step(0.0, 1.0, threshold=0.3)
+
+
+class TestMatrixAgainstCellLoop:
+    """evaluate_matrix's lockstep batch gives each cell, and the first
+    error, exactly as evaluate_pair cell by cell does."""
+
+    def test_mixed_catalog(self, catalog):
+        lotteries, utilities = catalog
+        want = _reference_matrix(lotteries, utilities)
+        assert isinstance(want, list)
+        assert _batched_matrix(lotteries, utilities) == want
+
+    @pytest.mark.parametrize(
+        "lotteries,utilities,error",
+        [
+            # a step lottery has EU and EDU but no aspiration equivalent
+            (LOTS[:2] + [STEP], UTS, "StepFunctionError"),
+            # a step utility has no certain equivalent
+            (LOTS, [UTS[0], STEP], "StepFunctionError"),
+            # EU integrates the lottery density, EDU the utility density
+            ([LOTS[0], SINGULAR], UTS, "SingularDensityError"),
+            (LOTS, UTS[:2] + [SINGULAR], "SingularDensityError"),
+            ([LOTS[0], ELSEWHERE], UTS, "DomainMismatchError"),
+            # the first failing cell in row order wins: (0, 2) before (1, 0)
+            ([LOTS[0], ELSEWHERE], UTS[:2] + [STEP], "StepFunctionError"),
+            ([LOTS[0], SINGULAR], [UTS[0], ELSEWHERE], "DomainMismatchError"),
+        ],
+    )
+    def test_first_failing_cell(self, lotteries, utilities, error):
+        want = _reference_matrix(lotteries, utilities)
+        assert want[0].__name__ == error
+        assert _batched_matrix(lotteries, utilities) == want
+
+    def test_saddle_allocate_matches_cell_loop(self):
+        want = allocate_eu_matrix([[expected_utility(f, u) for u in UTS] for f in LOTS])
+        assert saddle_allocate(LOTS, UTS) == want
+        with pytest.raises(DomainMismatchError) as alone:
+            expected_utility(LOTS[1], ELSEWHERE)
+        with pytest.raises(DomainMismatchError) as batch:
+            saddle_allocate(LOTS, UTS[:2] + [ELSEWHERE])
+        assert str(batch.value) == str(alone.value)
 
 
 class TestFindPureSaddle:
