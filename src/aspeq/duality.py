@@ -21,13 +21,14 @@ maximizing expected utility; delegation builds on exactly that.
 
 Many pairs at once (a matrix, a gamma grid) go through one lockstep batch
 of quadratures; each value, and the first error, is what the pairs give
-one at a time.
+one at a time, and no pair after the first failing one is integrated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 from typing import Iterator, Sequence
 
 from .curves import (
@@ -126,29 +127,36 @@ def _pair_integral(
     return integrate(f, lo, hi, spec, knots)
 
 
-def _outcomes(
-    pairs: Sequence[tuple[Curve, Curve]], roles: tuple[str, ...], spec: QuadratureSpec | None
-) -> list[list]:
-    """For each (lottery, utility) pair, its integral in each role ("eu"
-    for expected_utility, "edu" for expected_disutility) as a value or as
-    the exception that function raises for it. All the quadratures run in
-    one integrate_many batch."""
+def _pair_outcomes(
+    pairs: Sequence[tuple[Curve, Curve]], spec: QuadratureSpec | None
+) -> list:
+    """Each (lottery, utility) pair's expected_utility and
+    expected_disutility, flat in pair order, each as a value or as the
+    exception that function raises for it. The list ends at the first
+    pair sure to fail, as a loop over the pairs would: at an exception,
+    or after a pair with a step curve, which has no certain or aspiration
+    equivalent. All the quadratures run in one integrate_many batch."""
     outcomes: list = []
     jobs, slots = [], []
-    for lottery, utility in pairs:
-        for role in roles:
-            try:
-                outcome = _pair_job(lottery, utility, role)
-            except Exception as exc:  # raised when its pair is read
-                outcome = exc
-            if isinstance(outcome, tuple):
-                jobs.append(outcome)
-                slots.append(len(outcomes))
-            outcomes.append(outcome)
-    for k, value in zip(slots, integrate_many(jobs, spec, return_exceptions=True)):
+    for (lottery, utility), role in product(pairs, ("eu", "edu")):
+        try:
+            outcome = _pair_job(lottery, utility, role)
+        except Exception as exc:  # raised when its pair is read
+            outcome = exc
+        if isinstance(outcome, tuple):
+            jobs.append(outcome)
+            slots.append(len(outcomes))
+        outcomes.append(outcome)
+        if isinstance(outcome, Exception) or (
+            role == "edu" and (lottery.is_step or utility.is_step)
+        ):
+            break
+    values = integrate_many(jobs, spec)
+    for k, value in zip(slots, values):
         outcomes[k] = value
-    n = len(roles)
-    return [outcomes[k : k + n] for k in range(0, len(outcomes), n)]
+    if len(values) < len(jobs):  # a quadrature failed; nothing after it is read
+        del outcomes[slots[len(values) - 1] + 1 :]
+    return outcomes
 
 
 def _settled(outcome):
@@ -255,31 +263,26 @@ def evaluate_pairs(
     """evaluate_pair of each (lottery, utility) pair, in turn.
 
     Every pair's EU and EDU are integrated in one lockstep batch before
-    the first result is yielded. Each result, and the exception raised
-    at the first pair that fails, is what evaluate_pair gives."""
-    for (f, u), (eu, edu) in zip(pairs, _outcomes(pairs, ("eu", "edu"), spec)):
-        yield _result(f, u, _settled(eu), _settled(edu), spec)
-
-
-def expected_utilities(
-    pairs: Sequence[tuple[Curve, Curve]], spec: QuadratureSpec | None = None
-) -> list[float]:
-    """expected_utility of each (lottery, utility) pair, integrated in one
-    lockstep batch; the first pair that fails raises what
-    expected_utility raises."""
-    return [_settled(eu) for (eu,) in _outcomes(pairs, ("eu",), spec)]
+    the first result is yielded, up to the first pair that fails. Each
+    result, and the exception raised at that pair, is what evaluate_pair
+    gives."""
+    outcomes = iter(_pair_outcomes(pairs, spec))
+    for f, u in pairs:
+        eu = _settled(next(outcomes))
+        yield _result(f, u, eu, _settled(next(outcomes)), spec)
 
 
 def equivalents(
     pairs: Sequence[tuple[Curve, Curve]], spec: QuadratureSpec | None = None
 ) -> Iterator[tuple[float, float]]:
     """(certain_equivalent, aspiration_equivalent) of each (lottery,
-    utility) pair, in turn, from one lockstep batch of all their EU and
-    EDU integrals. A pair fails as certain_equivalent then
+    utility) pair, in turn, from one lockstep batch of their EU and EDU
+    integrals. A pair fails as certain_equivalent then
     aspiration_equivalent would."""
-    for (f, u), (eu, edu) in zip(pairs, _outcomes(pairs, ("eu", "edu"), spec)):
-        ce = _certain_from(u, _settled(eu), spec)
-        yield ce, _aspiration_from(f, _settled(edu), spec)
+    outcomes = iter(_pair_outcomes(pairs, spec))
+    for f, u in pairs:
+        ce = _certain_from(u, _settled(next(outcomes)), spec)
+        yield ce, _aspiration_from(f, _settled(next(outcomes)), spec)
 
 
 def effective_gamma(

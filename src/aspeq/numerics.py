@@ -281,7 +281,6 @@ def integrate(
 def integrate_many(
     jobs: Sequence[tuple[Callable, float, float, Iterable[float]]],
     spec: QuadratureSpec | None = None,
-    return_exceptions: bool = False,
 ) -> list:
     """integrate(f, lo, hi, spec, knots) of each (f, lo, hi, knots) job,
     with all the integrals refined in one lockstep loop.
@@ -293,10 +292,11 @@ def integrate_many(
     over every integral's panels. Each integrand still gets one call per
     round for its own new nodes.
 
-    A job that fails (bad limits, an integrand error, a non-finite value,
-    depth exhausted) stops alone and the others run on. Then the first
-    failed job, in job order, raises its exception; with
-    return_exceptions the exception takes the job's place in the list.
+    The list holds each job's value in job order, up to the first job
+    that fails (bad limits, an integrand error, a non-finite value, depth
+    exhausted): that job's exception ends the list. A loop of integrate()
+    calls would never start the jobs after it, so the loop drops them as
+    soon as the failure shows.
     """
     spec = spec or DEFAULT_QUADRATURE
     results: list = [None] * len(jobs)
@@ -307,7 +307,7 @@ def integrate_many(
             cuts = _opening(lo, hi, knots)
         except (TypeError, ValueError) as exc:
             results[n] = exc
-            continue
+            break
         if cuts is None:
             results[n] = 0.0
         else:
@@ -318,10 +318,9 @@ def integrate_many(
         a = np.concatenate([cuts[:-1] for _, cuts in opened])
         b = np.concatenate([cuts[1:] for _, cuts in opened])
         _refine_many(calls, owner, a, b, spec, results)
-    if not return_exceptions:
-        for r in results:
-            if isinstance(r, Exception):
-                raise r
+    for n, r in enumerate(results):
+        if isinstance(r, Exception):
+            return results[: n + 1]
     return results
 
 
@@ -332,36 +331,34 @@ def _segments(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.diff(starts, append=len(owner))
 
 
-def _gk15_many(calls, owner, a, b, results) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gk15_many(calls, owner, a, b, results) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """_gk15 of the new panels of several integrals, grouped by owner.
 
     Each integral samples its own nodes in one call, and its rows go
     through the three matrix-vector products on their own: stacked with
     other integrals' rows, the products round differently. An integral
     whose integrand raises or returns a non-finite value gets that
-    exception as its result; the returned mask marks the panels of the
-    integrals that did not fail, which the values and errors cover."""
+    exception as its result and NaN estimates; the list returned names
+    those integrals."""
     xs, half = _nodes(a, b)
     starts, sizes = _segments(owner)
-    ok = np.ones(len(a), dtype=bool)
-    kronrod, gauss, resasc = [], [], []
+    kronrod, gauss, resasc, failed = [], [], [], []
     for s, e in zip(starts.tolist(), (starts + sizes).tolist()):
         n = int(owner[s])
         try:
             y = _sampled(calls[n], xs[s:e].ravel())
-        except Exception as exc:  # raised later, in job order
+        except Exception as exc:  # ends the list integrate_many returns
             results[n] = exc
-            ok[s:e] = False
-            continue
+            failed.append(n)
+            y = np.full((e - s, len(_NODES)), np.nan)
         k = y @ _KRONROD
         kronrod.append(k)
         gauss.append(y @ _GAUSS)
         resasc.append(np.abs(y - 0.5 * k[:, None]) @ _KRONROD)
     if not kronrod:
-        return np.empty(0), np.empty(0), ok
+        return np.empty(0), np.empty(0), failed
     kronrod, gauss, resasc = map(np.concatenate, (kronrod, gauss, resasc))
-    half = half[ok]
-    return half * kronrod, half * _error(kronrod, gauss, resasc), ok
+    return half * kronrod, half * _error(kronrod, gauss, resasc), failed
 
 
 def _refine_many(calls, owner, a, b, spec: QuadratureSpec, results: list) -> None:
@@ -373,10 +370,13 @@ def _refine_many(calls, owner, a, b, spec: QuadratureSpec, results: list) -> Non
     the stopping test (ndarray.sum) and the split order run on each
     integral's own panels in that order, which keeps every value bit for
     bit; the rest of a round, the stopping test itself aside, is
-    vectorized across integrals."""
+    vectorized across integrals. The first integral to fail, in job
+    order, leaves the loop with every integral after it."""
     depth = np.full(len(a), spec.max_subdivision_depth)
-    value, error, ok = _gk15_many(calls, owner, a, b, results)
-    owner, a, b, depth = owner[ok], a[ok], b[ok], depth[ok]
+    value, error, failed = _gk15_many(calls, owner, a, b, results)
+    last = min([len(results), *failed])  # integrals from here on are dropped
+    live = owner < last
+    owner, a, b, depth, value, error = (v[live] for v in (owner, a, b, depth, value, error))
     while len(owner):
         starts, sizes = _segments(owner)
         remaining, budget, done = [], [], []
@@ -409,38 +409,35 @@ def _refine_many(calls, owner, a, b, spec: QuadratureSpec, results: list) -> Non
 
         mid = 0.5 * (a[split] + b[split])
         stuck = (depth[split] <= 0) | (mid <= a[split]) | (mid >= b[split])
-        failed = []
         for t in np.flatnonzero(stuck).tolist():
             i = split[t]
             n = int(owner[i])
-            if results[n] is None:  # the first stuck panel in split order
+            if n < last:  # the first stuck panel in split order
                 results[n] = _exhausted(float(a[i]), float(b[i]), float(value[i]), float(error[i]))
-                failed.append(n)
-        if failed:
-            going = ~np.isin(owner[split], failed)
-            split, mid = split[going], mid[going]
+                last = n
+        going = owner[split] < last
+        split, mid = split[going], mid[going]
 
-        keep = np.ones(len(owner), dtype=bool)
-        keep[split] = False
         new_owner = np.concatenate([owner[split], owner[split]])
         halves = np.argsort(new_owner, kind="stable")  # lefts, then rights
         new_owner = new_owner[halves]
         new_a = np.concatenate([a[split], mid])[halves]
         new_b = np.concatenate([mid, b[split]])[halves]
         new_depth = np.concatenate([depth[split] - 1, depth[split] - 1])[halves]
-        new_value, new_error, ok = _gk15_many(calls, new_owner, new_a, new_b, results)
-        failed.extend(np.unique(new_owner[~ok]).tolist())
-        if failed:
-            keep &= ~np.isin(owner, failed)
+        new_value, new_error, failed = _gk15_many(calls, new_owner, new_a, new_b, results)
+        last = min([last, *failed])
 
-        owner = np.concatenate([owner[keep], new_owner[ok]])
+        keep = owner < last
+        keep[split] = False
+        fresh = new_owner < last
+        owner = np.concatenate([owner[keep], new_owner[fresh]])
         merged = np.argsort(owner, kind="stable")  # kept panels, then new
         owner = owner[merged]
-        a = np.concatenate([a[keep], new_a[ok]])[merged]
-        b = np.concatenate([b[keep], new_b[ok]])[merged]
-        depth = np.concatenate([depth[keep], new_depth[ok]])[merged]
-        value = np.concatenate([value[keep], new_value])[merged]
-        error = np.concatenate([error[keep], new_error])[merged]
+        a = np.concatenate([a[keep], new_a[fresh]])[merged]
+        b = np.concatenate([b[keep], new_b[fresh]])[merged]
+        depth = np.concatenate([depth[keep], new_depth[fresh]])[merged]
+        value = np.concatenate([value[keep], new_value[fresh]])[merged]
+        error = np.concatenate([error[keep], new_error[fresh]])[merged]
 
 
 def find_root(g: Callable[[float], float], bracket: RootBracket) -> float:

@@ -26,7 +26,6 @@ from .duality import (
     DualityResult,
     aspiration_equivalent,
     evaluate_pairs,
-    expected_utilities,
     expected_utility,
 )
 from .numerics import QuadratureSpec
@@ -181,9 +180,7 @@ def saddle_allocate(
     spec: QuadratureSpec | None = None,
 ) -> Allocation:
     """allocate_eu_matrix on the EU matrix of lotteries x utilities."""
-    values = expected_utilities([(f, u) for f in lotteries for u in utilities], spec)
-    n = len(utilities)
-    eu = [values[i * n : (i + 1) * n] for i in range(len(lotteries))]
+    eu = [[expected_utility(f, u, spec) for u in utilities] for f in lotteries]
     return allocate_eu_matrix(eu)
 
 

@@ -266,33 +266,53 @@ class TestIntegrateMany:
         # depth 16: at 1e-12 the boundary-layer EDU never meets its budget
         # (its truncated-Gaussian CDF is only good to about 2e-10 there), and
         # at the default depth it refines to tens of millions of nodes;
-        # capped, it stays in the batch as a depth-exhausted job
+        # capped, it is a depth-exhausted job inside the batch
         spec = QuadratureSpec(relative_tolerance=tol, max_subdivision_depth=16)
         jobs = self.catalog_jobs()
         want = [_bits(_alone(*job, spec)) for job in jobs]
-        got = integrate_many(jobs, spec, return_exceptions=True)
-        assert [_bits(r) for r in got] == want
+        fails = [k for k, w in enumerate(want) if isinstance(w, tuple)]
+        got = [_bits(r) for r in integrate_many(jobs, spec)]
+        assert got == want[: fails[0] + 1 if fails else len(want)]
+        # the jobs after a failure, without it
+        if fails:
+            rest = [job for k, job in enumerate(jobs) if k not in fails]
+            got = [_bits(r) for r in integrate_many(rest, spec)]
+            assert got == [w for k, w in enumerate(want) if k not in fails]
 
     @pytest.mark.parametrize("first", ("non_finite", "depth"))
-    def test_first_failing_job_raises(self, first):
+    def test_list_ends_at_first_failing_job(self, first):
         nan_at_half = (lambda xs: np.where(xs == 0.5, np.nan, xs), 0.0, 1.0, ())
         pole = (lambda x: 1.0 / max(x, 1e-300), 0.0, 1.0, ())
         smooth = (np.exp, 0.0, 1.0, ())
         failing = [nan_at_half, pole] if first == "non_finite" else [pole, nan_at_half]
         jobs = [smooth, failing[0], smooth, failing[1], smooth]
-        alone = _alone(*failing[0])
-        assert isinstance(alone, QuadratureError)
-        with pytest.raises(QuadratureError) as batch:
-            integrate_many(jobs)
-        assert str(batch.value) == str(alone)
-        got = integrate_many(jobs, return_exceptions=True)
-        assert [_bits(r) for r in got] == [_bits(_alone(*job)) for job in jobs]
+        alone = [_bits(_alone(*job)) for job in jobs[:2]]
+        assert alone[1][0] is QuadratureError
+        assert [_bits(r) for r in integrate_many(jobs)] == alone
+
+    def test_jobs_after_a_failure_are_dropped(self):
+        # the NaN shows in the opening round, so the slow job after it
+        # gets that round's call and no other
+        seen = []
+
+        def slow(xs):
+            seen.append(len(xs))
+            return np.sqrt(xs)
+
+        nan_at_half = (lambda xs: np.where(xs == 0.5, np.nan, xs), 0.0, 1.0, ())
+        got = integrate_many([(np.exp, 0.0, 1.0, ()), nan_at_half, (slow, 0.0, 1.0, ())])
+        assert len(got) == 2 and isinstance(got[1], QuadratureError)
+        assert seen == [15]
+        # bad limits end the list before any job after them opens
+        got = integrate_many([(np.exp, 1.0, 0.0, ()), (slow, 0.0, 1.0, ())])
+        assert len(got) == 1 and isinstance(got[0], ValueError)
+        assert seen == [15]
 
     def test_bad_limits_and_integrand_errors_are_outcomes(self):
         def broken(xs):
             raise ZeroDivisionError("integrand bug")
 
         jobs = [(np.exp, 1.0, 0.0, ()), (broken, 0.0, 1.0, ()), (np.exp, 0.0, math.inf, ())]
-        got = integrate_many(jobs, return_exceptions=True)
+        got = [integrate_many([job])[0] for job in jobs]
         assert [type(r) for r in got] == [ValueError, ZeroDivisionError, ValueError]
         assert integrate_many([]) == []

@@ -21,6 +21,7 @@ from aspeq import (
     find_pure_saddle,
     saddle_allocate,
 )
+from aspeq.numerics import QuadratureError, QuadratureSpec
 
 LOTS = [
     ScaledBeta(0.0, 1.0, alpha=2.0, beta=8.0),
@@ -56,7 +57,7 @@ class TestEvaluateMatrix:
             evaluate_matrix([], UTS)
 
 
-def _reference_matrix(lotteries, utilities):
+def _reference_matrix(lotteries, utilities, spec=None):
     """evaluate_matrix cell by cell through evaluate_pair, stopping at the
     first cell that raises: (EU, EDU, CE, AE) rows, or (type, message)."""
     rows = []
@@ -64,7 +65,7 @@ def _reference_matrix(lotteries, utilities):
         row = []
         for j, u in enumerate(utilities):
             try:
-                r = evaluate_pair(f, u)
+                r = evaluate_pair(f, u, spec)
             except DomainMismatchError as exc:
                 return DomainMismatchError, f"cell ({i}, {j}): {exc}"
             except Exception as exc:
@@ -74,9 +75,9 @@ def _reference_matrix(lotteries, utilities):
     return rows
 
 
-def _batched_matrix(lotteries, utilities):
+def _batched_matrix(lotteries, utilities, spec=None):
     try:
-        m = evaluate_matrix(lotteries, utilities)
+        m = evaluate_matrix(lotteries, utilities, spec)
     except Exception as exc:
         return type(exc), str(exc)
     return [list(zip(*cells)) for cells in zip(m.eu, m.edu, m.ce, m.ae)]
@@ -113,19 +114,34 @@ class TestMatrixAgainstCellLoop:
             ([LOTS[0], SINGULAR], [UTS[0], ELSEWHERE], "DomainMismatchError"),
         ],
     )
-    def test_first_failing_cell(self, lotteries, utilities, error):
+    def test_first_failing_cell(self, monkeypatch, lotteries, utilities, error):
+        import aspeq.duality as duality
+
+        jobs = []
+        integrate, integrate_many = duality.integrate, duality.integrate_many
+
+        def counting(*args, **kwargs):
+            jobs.append("loop")
+            return integrate(*args, **kwargs)
+
+        def counting_many(batch, *args, **kwargs):
+            jobs.extend("batch" for _ in batch)
+            return integrate_many(batch, *args, **kwargs)
+
+        monkeypatch.setattr(duality, "integrate", counting)
+        monkeypatch.setattr(duality, "integrate_many", counting_many)
         want = _reference_matrix(lotteries, utilities)
         assert want[0].__name__ == error
         assert _batched_matrix(lotteries, utilities) == want
+        # no cell after the failing one is handed to the batch
+        assert jobs.count("batch") == jobs.count("loop")
 
-    def test_saddle_allocate_matches_cell_loop(self):
-        want = allocate_eu_matrix([[expected_utility(f, u) for u in UTS] for f in LOTS])
-        assert saddle_allocate(LOTS, UTS) == want
-        with pytest.raises(DomainMismatchError) as alone:
-            expected_utility(LOTS[1], ELSEWHERE)
-        with pytest.raises(DomainMismatchError) as batch:
-            saddle_allocate(LOTS, UTS[:2] + [ELSEWHERE])
-        assert str(batch.value) == str(alone.value)
+    def test_first_quadrature_failure(self):
+        # at depth 2, cells (1, 1), (1, 2) and (2, 2) exhaust it
+        spec = QuadratureSpec(relative_tolerance=1e-12, max_subdivision_depth=2)
+        want = _reference_matrix(LOTS, UTS, spec)
+        assert want[0] is QuadratureError
+        assert _batched_matrix(LOTS, UTS, spec) == want
 
 
 class TestFindPureSaddle:
