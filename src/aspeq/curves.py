@@ -368,16 +368,20 @@ class TruncatedGaussian(Curve):
         super().__post_init__()
         if self.scale <= 0:
             raise CurveParameterError("scale must be positive")
+        # an interval above the center reads the upper tail, ndtr(-z): in a
+        # far tail the lower one is 1 - tiny, and the difference of two
+        # such numbers keeps only the digits the tiny part had left
+        self._cache(_zscale=-self.scale if self.lo > self.center else self.scale)
         base = float(ndtr(self._z(self.lo)))
-        mass = float(ndtr(self._z(self.hi)) - base)
-        if mass < 1e-15:
+        mass = float(ndtr(self._z(self.hi)) - base)  # negative on the upper tail
+        if abs(mass) < 1e-15:
             raise CurveParameterError(
                 "interval carries no Gaussian mass at this center/scale"
             )
         self._cache(_base=base, _mass=mass)
 
     def _z(self, x):
-        return (x - self.center) / self.scale
+        return (x - self.center) / self._zscale
 
     @_kernel
     def value(self, x):
@@ -387,7 +391,7 @@ class TruncatedGaussian(Curve):
     def density(self, x):
         z = self._z(x)
         phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        return phi / (self.scale * self._mass)
+        return phi / (self._zscale * self._mass)
 
     def quantile(self, p: float) -> float:
         self._check_p(p)
@@ -395,7 +399,7 @@ class TruncatedGaussian(Curve):
             return self.lo
         if p == 1.0:
             return self.hi
-        return self.center + self.scale * float(ndtri(self._base + p * self._mass))
+        return self.center + self._zscale * float(ndtri(self._base + p * self._mass))
 
     def sample_hints(self) -> tuple[float, ...]:
         # a narrow bell can sit entirely between the opening samples

@@ -7,9 +7,9 @@ The quadrature is globally adaptive Gauss-Kronrod 7/15: each panel's
 22, and its distance from the embedded 7-node Gauss sum gives QUADPACK's
 error estimate. Integrands take a whole array of nodes per call. Callers
 that know where an integrand loses smoothness pass those abscissae as
-knots; panels never straddle a knot. integrate_many refines many
-independent integrals in one lockstep loop, each exactly as integrate
-would.
+knots; panels never straddle a knot. There is one refinement loop:
+integrate_many refines a list of independent integrals in lockstep, and
+integrate is integrate_many of one job.
 """
 
 from __future__ import annotations
@@ -143,64 +143,16 @@ def _batched(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return call
 
 
-def _opening(lo: float, hi: float, knots: Iterable[float]) -> np.ndarray | None:
-    """Cut points of the opening panels, one panel per knot interval; None
+def _opening(lo: float, hi: float, knots: Iterable[float]) -> list[float]:
+    """Cut points of the opening panels, one panel per knot interval; none
     for an empty interval."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration limits must be finite")
     if hi < lo:
         raise ValueError("integration limits must satisfy lo <= hi")
     if hi == lo:
-        return None
-    return np.array([lo, *(k for k in sorted(set(map(float, knots))) if lo < k < hi), hi])
-
-
-def _sampled(call, xs: np.ndarray) -> np.ndarray:
-    """One integral's values at the nodes xs of its new panels, one row
-    per panel."""
-    ys = call(xs)
-    bad = ~np.isfinite(ys)
-    if bad.any():
-        x = float(xs[np.argmax(bad)])
-        raise QuadratureError(f"integrand returned a non-finite value at x={x!r}")
-    return ys.reshape(-1, len(_NODES))
-
-
-def _error(kronrod: np.ndarray, gauss: np.ndarray, resasc: np.ndarray) -> np.ndarray:
-    """QUADPACK's error estimate on [-1, 1] from the two rules' sums and
-    resasc, the integrand's variation about its mean: when the rules
-    agree closely their gap is scaled down by the 3/2 power (Piessens et
-    al., QUADPACK, 1983)."""
-    gap = np.abs(kronrod - gauss)
-    safe = np.where(resasc > 0.0, resasc, 1.0)
-    return np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * gap / safe) ** 1.5), gap)
-
-
-def _nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 15 nodes of each panel [a, b], one row per panel, and the half
-    widths that scale the rules from [-1, 1]."""
-    center, half = 0.5 * (a + b), 0.5 * (b - a)
-    return center[:, None] + half[:, None] * _NODES, half
-
-
-def _gk15(call, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod estimate and QUADPACK error estimate of each panel [a, b],
-    all panels' nodes evaluated in one call."""
-    xs, half = _nodes(a, b)
-    ys = _sampled(call, xs.ravel())
-    kronrod = ys @ _KRONROD
-    resasc = np.abs(ys - 0.5 * kronrod[:, None]) @ _KRONROD
-    return half * kronrod, half * _error(kronrod, ys @ _GAUSS, resasc)
-
-
-def _stop(total: float, remaining: float, spec: QuadratureSpec) -> tuple[float, bool]:
-    """One integral's error budget and whether its refinement is over: the
-    summed estimate is within max(absolute_tolerance, relative_tolerance *
-    |I|), or past the budget it no longer shows in the total's last bit
-    (Gander and Gautschi, BIT 2000), since a tolerance below machine
-    precision asks for what no refinement can give."""
-    budget = max(spec.absolute_tolerance, spec.relative_tolerance * abs(total))
-    return budget, remaining <= budget or total + remaining == total
+        return []
+    return [lo, *(k for k in sorted(set(map(float, knots))) if lo < k < hi), hi]
 
 
 def _split_counts(errors: np.ndarray, remaining, budget):
@@ -209,15 +161,8 @@ def _split_counts(errors: np.ndarray, remaining, budget):
     one past an integral's panels means all of them). errors holds each
     integral's panel errors largest first along its last axis, padded
     with inf."""
-    rest = remaining - np.cumsum(errors, axis=-1)
+    rest = remaining - errors.cumsum(axis=-1)
     return (rest >= 0.5 * budget).sum(axis=-1) + 1
-
-
-def _exhausted(a: float, b: float, value: float, error: float) -> QuadratureError:
-    return QuadratureError(
-        f"refinement depth exhausted on [{a!r}, {b!r}]: best "
-        f"estimate {value!r}, error bound {error:.3e}"
-    )
 
 
 def integrate(
@@ -227,7 +172,8 @@ def integrate(
     spec: QuadratureSpec | None = None,
     knots: Iterable[float] = (),
 ) -> float:
-    """Integrate f over [lo, hi].
+    """Integrate f over [lo, hi]: integrate_many of the one job, raising
+    its exception if it fails.
 
     f may map a node array to a value array, which integrates each round
     of refinement in one call; a callable of one float works too.
@@ -235,209 +181,211 @@ def integrate(
     knots lists interior points where f or a derivative may jump; the
     interval opens with one 15-node panel per piece between them, and no
     node sits on a knot. Knots outside the open interval are ignored.
-
-    Refinement is globally adaptive: panels share one error budget. Each
-    round splits the panels with the largest error estimates until the
-    error left in the others is under half the budget, so an isolated
-    rough spot (a steep density endpoint, say) cannot starve while smooth
-    panels hoard tolerance.
     """
-    spec = spec or DEFAULT_QUADRATURE
-    cuts = _opening(lo, hi, knots)
-    if cuts is None:
-        return 0.0
-    a, b = cuts[:-1], cuts[1:]
-    depth = np.full(len(a), spec.max_subdivision_depth)
-    call = _batched(f)
-    value, error = _gk15(call, a, b)
-    while True:
-        total = float(value.sum())
-        remaining = float(error.sum())
-        budget, done = _stop(total, remaining, spec)
-        if done:
-            break
-        order = np.argsort(-error, kind="stable")
-        split = order[: _split_counts(error[order], remaining, budget)]
-        mid = 0.5 * (a[split] + b[split])
-        stuck = (depth[split] <= 0) | (mid <= a[split]) | (mid >= b[split])
-        if stuck.any():
-            i = split[np.argmax(stuck)]
-            raise _exhausted(float(a[i]), float(b[i]), float(value[i]), float(error[i]))
-        keep = np.ones(len(a), dtype=bool)
-        keep[split] = False
-        new_a = np.concatenate([a[split], mid])
-        new_b = np.concatenate([mid, b[split]])
-        new_value, new_error = _gk15(call, new_a, new_b)
-        a, b = np.concatenate([a[keep], new_a]), np.concatenate([b[keep], new_b])
-        value = np.concatenate([value[keep], new_value])
-        error = np.concatenate([error[keep], new_error])
-        depth = np.concatenate([depth[keep], depth[split] - 1, depth[split] - 1])
-
-    # fsum over the surviving panels is exact, so the result cannot depend
-    # on the order the panels were split in
-    return math.fsum(value.tolist())
+    (outcome,) = integrate_many([(f, lo, hi, knots)], spec)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def integrate_many(
     jobs: Sequence[tuple[Callable, float, float, Iterable[float]]],
     spec: QuadratureSpec | None = None,
 ) -> list:
-    """integrate(f, lo, hi, spec, knots) of each (f, lo, hi, knots) job,
-    with all the integrals refined in one lockstep loop.
+    """The integral of f over [lo, hi] for each (f, lo, hi, knots) job,
+    all refined in one lockstep loop; integrate() documents f and knots.
+
+    Refinement is globally adaptive: each integral's panels share one
+    error budget, max(absolute_tolerance, relative_tolerance * |I|).
+    Each round splits an integral's panels with the largest error
+    estimates until the error left in the others is under half the
+    budget, so an isolated rough spot (a steep density endpoint, say)
+    cannot starve while smooth panels hoard tolerance.
 
     Each integral keeps its own panels, budget, depth limit and stopping
-    rule, and each value is bit for bit what integrate() returns for its
-    job. What the loop shares is the bookkeeping of a round: node
-    placement, error estimates, sorting, splitting and merging run once
-    over every integral's panels. Each integrand still gets one call per
-    round for its own new nodes.
+    rule, so its value does not depend on the other jobs. What the loop
+    shares is the bookkeeping of a round: node placement, error
+    estimates, sorting, splitting and merging run once over every
+    integral's panels. Each integrand gets one call per round for its
+    own new nodes.
 
     The list holds each job's value in job order, up to the first job
     that fails (bad limits, an integrand error, a non-finite value, depth
-    exhausted): that job's exception ends the list. A loop of integrate()
-    calls would never start the jobs after it, so the loop drops them as
-    soon as the failure shows.
+    exhausted): that job's exception ends the list. A loop of single
+    integrals would never start the jobs after it, so the loop drops them
+    as soon as the failure shows.
     """
     spec = spec or DEFAULT_QUADRATURE
     results: list = [None] * len(jobs)
     calls: dict[int, Callable] = {}
-    opened: list[tuple[int, np.ndarray]] = []
+    sizes: list[int] = []
+    lefts: list[float] = []
+    rights: list[float] = []
     for n, (f, lo, hi, knots) in enumerate(jobs):
         try:
             cuts = _opening(lo, hi, knots)
         except (TypeError, ValueError) as exc:
             results[n] = exc
             break
-        if cuts is None:
-            results[n] = 0.0
-        else:
+        if cuts:
             calls[n] = _batched(f)
-            opened.append((n, cuts))
-    if opened:
-        owner = np.concatenate([np.full(len(cuts) - 1, n) for n, cuts in opened])
-        a = np.concatenate([cuts[:-1] for _, cuts in opened])
-        b = np.concatenate([cuts[1:] for _, cuts in opened])
-        _refine_many(calls, owner, a, b, spec, results)
+            sizes.append(len(cuts) - 1)
+            lefts += cuts[:-1]
+            rights += cuts[1:]
+        else:
+            results[n] = 0.0
+    if calls:
+        _refine(calls, sizes, np.array(lefts), np.array(rights), spec, results)
     for n, r in enumerate(results):
         if isinstance(r, Exception):
             return results[: n + 1]
     return results
 
 
-def _segments(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and size of each integral's run of panels in owner, which
-    holds each integral's panels together."""
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    return starts, np.diff(starts, append=len(owner))
+def _estimates(calls, ids, sizes, a, b, cut, results) -> tuple[np.ndarray, np.ndarray, int]:
+    """Kronrod estimate and QUADPACK error estimate of each panel [a, b];
+    the panels are grouped by integral, sizes[k] of them for the integral
+    of job ids[k].
+
+    Each of the first cut integrals samples its nodes in one call, and its
+    rows go through the three matrix-vector products on their own:
+    stacked with other integrals' rows, the products round differently.
+    An integral whose integrand raises or returns a non-finite value gets
+    that exception as its result. The integrals from the first such one
+    on, and those from cut on, get NaN estimates; the cut returned leaves
+    them out."""
+    half = 0.5 * (b - a)
+    xs = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
+    rules = []
+    first, s = cut, 0
+    for k, size in enumerate(sizes):
+        nodes = xs[s : s + size].ravel()
+        s += size
+        ys = None
+        if k < cut:
+            try:
+                ys = calls[ids[k]](nodes)
+                finite = np.isfinite(ys)
+                if not finite.all():
+                    x = float(nodes[np.argmin(finite)])
+                    raise QuadratureError(f"integrand returned a non-finite value at x={x!r}")
+                ys = ys.reshape(size, len(_NODES))
+            except Exception as exc:  # ends the list integrate_many returns
+                results[ids[k]] = exc
+                first = min(first, k)
+                ys = None
+        if ys is None:
+            ys = np.full((size, len(_NODES)), np.nan)
+        k15 = ys @ _KRONROD
+        rules.append((k15, ys @ _GAUSS, np.abs(ys - 0.5 * k15[:, None]) @ _KRONROD))
+    kronrod, gauss, resasc = rules[0] if len(rules) == 1 else map(np.concatenate, zip(*rules))
+    # QUADPACK's error estimate on [-1, 1] from the two rules' sums and
+    # resasc, the integrand's variation about its mean: when the rules
+    # agree closely their gap is scaled down by the 3/2 power (Piessens et
+    # al., QUADPACK, 1983)
+    gap = np.abs(kronrod - gauss)
+    varies = resasc > 0.0
+    scaled = resasc * np.minimum(1.0, (200.0 * gap / np.where(varies, resasc, 1.0)) ** 1.5)
+    error = np.where(varies, scaled, gap)
+    return half * kronrod, half * error, first
 
 
-def _gk15_many(calls, owner, a, b, results) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """_gk15 of the new panels of several integrals, grouped by owner.
-
-    Each integral samples its own nodes in one call, and its rows go
-    through the three matrix-vector products on their own: stacked with
-    other integrals' rows, the products round differently. An integral
-    whose integrand raises or returns a non-finite value gets that
-    exception as its result and NaN estimates; the list returned names
-    those integrals."""
-    xs, half = _nodes(a, b)
-    starts, sizes = _segments(owner)
-    kronrod, gauss, resasc, failed = [], [], [], []
-    for s, e in zip(starts.tolist(), (starts + sizes).tolist()):
-        n = int(owner[s])
-        try:
-            y = _sampled(calls[n], xs[s:e].ravel())
-        except Exception as exc:  # ends the list integrate_many returns
-            results[n] = exc
-            failed.append(n)
-            y = np.full((e - s, len(_NODES)), np.nan)
-        k = y @ _KRONROD
-        kronrod.append(k)
-        gauss.append(y @ _GAUSS)
-        resasc.append(np.abs(y - 0.5 * k[:, None]) @ _KRONROD)
-    if not kronrod:
-        return np.empty(0), np.empty(0), failed
-    kronrod, gauss, resasc = map(np.concatenate, (kronrod, gauss, resasc))
-    return half * kronrod, half * _error(kronrod, gauss, resasc), failed
-
-
-def _refine_many(calls, owner, a, b, spec: QuadratureSpec, results: list) -> None:
-    """integrate()'s refinement loop over every open integral at once.
+def _refine(calls, sizes: list[int], a, b, spec: QuadratureSpec, results: list) -> None:
+    """The refinement loop of integrate_many over the opened integrals,
+    in job order; sizes[k] of the opening panels a, b are the k-th one's.
 
     Panels live in flat arrays, each integral's together and in the order
-    integrate() keeps them: kept panels, then the left halves, then the
-    right halves of those split, both in split order. The sums that decide
-    the stopping test (ndarray.sum) and the split order run on each
-    integral's own panels in that order, which keeps every value bit for
-    bit; the rest of a round, the stopping test itself aside, is
-    vectorized across integrals. The first integral to fail, in job
-    order, leaves the loop with every integral after it."""
+    a one-integral loop keeps them: kept panels, then the left halves,
+    then the right halves of those split, both in split order. The sums
+    that decide the stopping test (pairwise, as ndarray.sum adds) and the
+    split order run on each integral's own panels in that order, which
+    keeps every value bit for bit what the integral gives alone; the rest
+    of a round is vectorized across integrals. With one integral left the
+    sorting, splitting and merging need no regrouping. The first integral
+    to fail, in job order, leaves the loop with every integral after it."""
+    ids = list(calls)
     depth = np.full(len(a), spec.max_subdivision_depth)
-    value, error, failed = _gk15_many(calls, owner, a, b, results)
-    last = min([len(results), *failed])  # integrals from here on are dropped
-    live = owner < last
-    owner, a, b, depth, value, error = (v[live] for v in (owner, a, b, depth, value, error))
-    while len(owner):
-        starts, sizes = _segments(owner)
-        remaining, budget, done = [], [], []
-        for s, e in zip(starts.tolist(), (starts + sizes).tolist()):
-            left = float(error[s:e].sum())
-            limit, stop = _stop(float(value[s:e].sum()), left, spec)
-            if stop:
-                results[int(owner[s])] = math.fsum(value[s:e].tolist())
-            remaining.append(left)
-            budget.append(limit)
-            done.append(stop)
-        done = np.array(done)
-        remaining, budget = np.array(remaining)[~done], np.array(budget)[~done]
-        live = np.repeat(~done, sizes)
-        owner, a, b, depth = owner[live], a[live], b[live], depth[live]
-        value, error = value[live], error[live]
-        if not len(owner):
-            break
-        sizes = sizes[~done]
+    value, error, cut = _estimates(calls, ids, sizes, a, b, len(ids), results)
+    while True:
+        live, remaining, budget = [], [], []
+        s = 0
+        for k, size in enumerate(sizes[:cut]):
+            e = s + size
+            total, err = float(np.add.reduce(value[s:e])), float(np.add.reduce(error[s:e]))
+            limit = max(spec.absolute_tolerance, spec.relative_tolerance * abs(total))
+            # past the budget, refinement also ends once the error no longer
+            # shows in the total's last bit (Gander and Gautschi, BIT 2000):
+            # a tolerance below machine precision asks for what no
+            # refinement can give
+            if err <= limit or total + err == total:
+                # fsum over the surviving panels is exact, so the result
+                # cannot depend on the order the panels were split in
+                results[ids[k]] = math.fsum(value[s:e].tolist())
+            else:
+                live.append(k)
+                remaining.append(err)
+                budget.append(limit)
+            s = e
+        if not live:
+            return
+        if len(live) < len(ids):
+            alive = np.zeros(len(ids), dtype=bool)
+            alive[live] = True
+            keep = np.repeat(alive, sizes)
+            ids, sizes = [ids[k] for k in live], [sizes[k] for k in live]
+            a, b, depth, value, error = a[keep], b[keep], depth[keep], value[keep], error[keep]
 
-        # each integral's panels by falling error, ties in panel order, one
-        # row per integral for the running sums
-        order = np.lexsort((-error, owner))
-        row = np.repeat(np.arange(len(sizes)), sizes)
-        rank = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        errors = np.full((len(sizes), int(sizes.max())), np.inf)
-        errors[row, rank] = error[order]
-        counts = _split_counts(errors, remaining[:, None], budget[:, None])
-        split = order[rank < np.repeat(counts, sizes)]
+        if len(ids) == 1:
+            order = (-error).argsort(kind="stable")
+            split = order[: _split_counts(error[order], remaining[0], budget[0])]
+            counts = [len(split)]
+        else:
+            # each integral's panels by falling error, ties in panel order,
+            # one row per integral for the running sums
+            per = np.array(sizes)
+            row = np.repeat(np.arange(len(ids)), per)
+            order = np.lexsort((-error, row))
+            rank = np.arange(len(a)) - np.repeat(np.cumsum(per) - per, per)
+            errors = np.full((len(ids), per.max()), np.inf)
+            errors[row, rank] = error[order]
+            counts = _split_counts(errors, np.array(remaining)[:, None], np.array(budget)[:, None])
+            split = order[rank < np.repeat(counts, per)]
+            counts = np.minimum(counts, per).tolist()
 
-        mid = 0.5 * (a[split] + b[split])
-        stuck = (depth[split] <= 0) | (mid <= a[split]) | (mid >= b[split])
-        for t in np.flatnonzero(stuck).tolist():
-            i = split[t]
-            n = int(owner[i])
-            if n < last:  # the first stuck panel in split order
-                results[n] = _exhausted(float(a[i]), float(b[i]), float(value[i]), float(error[i]))
-                last = n
-        going = owner[split] < last
-        split, mid = split[going], mid[going]
+        left, right, down = a[split], b[split], depth[split] - 1
+        mid = 0.5 * (left + right)
+        stuck = (down < 0) | (mid <= left) | (mid >= right)
+        cut = len(ids)
+        if stuck.any():  # the first stuck panel in split order
+            i = split[np.argmax(stuck)]
+            cut = int(np.searchsorted(np.cumsum(sizes), i, side="right"))
+            results[ids[cut]] = QuadratureError(
+                f"refinement depth exhausted on [{float(a[i])!r}, {float(b[i])!r}]: best "
+                f"estimate {float(value[i])!r}, error bound {float(error[i]):.3e}"
+            )
+        new_a = np.concatenate([left, mid])
+        new_b = np.concatenate([mid, right])
+        new_depth = np.concatenate([down, down])
+        if len(ids) > 1:
+            # each integral's left halves, then its right halves; after the
+            # merge, each integral's kept panels, then its new ones
+            halves = np.argsort(np.concatenate([row[split], row[split]]), kind="stable")
+            new_a, new_b, new_depth = new_a[halves], new_b[halves], new_depth[halves]
+        new_sizes = [2 * c for c in counts]
+        new_value, new_error, cut = _estimates(calls, ids, new_sizes, new_a, new_b, cut, results)
 
-        new_owner = np.concatenate([owner[split], owner[split]])
-        halves = np.argsort(new_owner, kind="stable")  # lefts, then rights
-        new_owner = new_owner[halves]
-        new_a = np.concatenate([a[split], mid])[halves]
-        new_b = np.concatenate([mid, b[split]])[halves]
-        new_depth = np.concatenate([depth[split] - 1, depth[split] - 1])[halves]
-        new_value, new_error, failed = _gk15_many(calls, new_owner, new_a, new_b, results)
-        last = min([last, *failed])
-
-        keep = owner < last
+        keep = np.ones(len(a), dtype=bool)
         keep[split] = False
-        fresh = new_owner < last
-        owner = np.concatenate([owner[keep], new_owner[fresh]])
-        merged = np.argsort(owner, kind="stable")  # kept panels, then new
-        owner = owner[merged]
-        a = np.concatenate([a[keep], new_a[fresh]])[merged]
-        b = np.concatenate([b[keep], new_b[fresh]])[merged]
-        depth = np.concatenate([depth[keep], new_depth[fresh]])[merged]
-        value = np.concatenate([value[keep], new_value[fresh]])[merged]
-        error = np.concatenate([error[keep], new_error[fresh]])[merged]
+        a = np.concatenate([a[keep], new_a])
+        b = np.concatenate([b[keep], new_b])
+        depth = np.concatenate([depth[keep], new_depth])
+        value = np.concatenate([value[keep], new_value])
+        error = np.concatenate([error[keep], new_error])
+        if len(ids) > 1:
+            new_row = np.repeat(np.arange(len(ids)), new_sizes)
+            merged = np.argsort(np.concatenate([row[keep], new_row]), kind="stable")
+            a, b, depth, value, error = a[merged], b[merged], depth[merged], value[merged], error[merged]
+        sizes = [size + c for size, c in zip(sizes, counts)]
 
 
 def find_root(g: Callable[[float], float], bracket: RootBracket) -> float:

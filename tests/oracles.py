@@ -70,6 +70,12 @@ def gauss_cdf(x, lo, hi, center, scale):
     return (phi(x) - phi(lo)) / (phi(hi) - phi(lo))
 
 
+def gauss_pdf(x, lo, hi, center, scale):
+    x, lo, hi, center, scale = map(mp.mpf, (x, lo, hi, center, scale))
+    mass = mp.ncdf((hi - center) / scale) - mp.ncdf((lo - center) / scale)
+    return mp.npdf((x - center) / scale) / (scale * mass)
+
+
 def logw_cdf(x, lo, hi, w):
     x, lo, hi, w = map(mp.mpf, (x, lo, hi, w))
     return (mp.log(w + x) - mp.log(w + lo)) / (mp.log(w + hi) - mp.log(w + lo))

@@ -186,6 +186,28 @@ class TestTruncatedGaussian:
         with pytest.raises(CurveParameterError):
             TruncatedGaussian(0.0, 1.0, center=0.5, scale=0.0)
 
+    # mass in a far tail of the normal: above it (mass 2.9e-7 and 1.3e-3),
+    # and below it, where the lower tail is already the small one
+    FAR_TAILS = ((0.0, 1.0, -0.1, 0.02), (0.0, 1.0, -3.0, 0.5), (0.0, 1.0, 1.2, 0.05))
+
+    @pytest.mark.parametrize("lo, hi, center, scale", FAR_TAILS)
+    def test_far_tail_matches_oracle(self, lo, hi, center, scale):
+        c = TruncatedGaussian(lo, hi, center=center, scale=scale)
+        xs = np.linspace(lo, hi, 41)
+        for x, v, d in zip(xs, c.value(xs), c.density(xs)):
+            assert v == pytest.approx(float(oracles.gauss_cdf(x, lo, hi, center, scale)), abs=1e-14)
+            want = oracles.gauss_pdf(x, lo, hi, center, scale)
+            assert abs(d - want) <= 1e-12 * want + 1e-300  # may underflow to 0
+
+    @pytest.mark.parametrize("lo, hi, center, scale", FAR_TAILS)
+    def test_far_tail_quantile_inverts_value(self, lo, hi, center, scale):
+        c = TruncatedGaussian(lo, hi, center=center, scale=scale)
+        # beyond 1 - 1e-6 the value carries too few digits to invert
+        xs = [x for x in np.linspace(lo, hi, 2001).tolist() if c.value(x) < 1.0 - 1e-6]
+        assert len(xs) > 20
+        for x in xs:
+            assert c.quantile(c.value(x)) == pytest.approx(x, abs=1e-9 * (hi - lo))
+
 
 class TestLogWealth:
     def test_cdf_matches_oracle(self):

@@ -1,11 +1,15 @@
 """Quadrature, root finding, difference stencils, cumulants."""
 
+import json
 import math
+from itertools import product
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from aspeq.duality import _pair_job
 from aspeq.numerics import (
     BracketError,
     NormalizationError,
@@ -24,7 +28,7 @@ from aspeq.numerics import (
 
 class TestIntegrate:
     def test_polynomial_degree_five_is_exact(self):
-        # one Richardson-corrected panel integrates quintics exactly
+        # one 15-node Kronrod panel is exact through degree 22
         assert integrate(lambda x: x**5, 0.0, 1.0) == pytest.approx(1 / 6, abs=1e-15)
 
     def test_sin_matches_closed_form(self):
@@ -233,9 +237,10 @@ class TestBatchedIntegrand:
 
 
 def _bits(outcome):
-    """A result as its exact bits, an exception as its type and message."""
+    """A result as its exact bits, an exception as its type name and
+    message."""
     if isinstance(outcome, Exception):
-        return type(outcome), str(outcome)
+        return [type(outcome).__name__, str(outcome)]
     return float(outcome).hex()
 
 
@@ -246,38 +251,70 @@ def _alone(f, lo, hi, knots, spec=None):
         return exc
 
 
+def _catalog_jobs():
+    """The tolerance catalog's EU and EDU jobs, with an empty interval,
+    knots outside the interval and a callable of floats only mixed in."""
+    from test_tolerance import CATALOG
+
+    jobs = [_pair_job(f, u, role) for _, f, u in CATALOG for role in ("eu", "edu")]
+    jobs.insert(3, (np.exp, 2.0, 2.0, ()))
+    jobs.insert(8, (lambda x: x * x, 0.0, 1.0, (-5.0, 0.5, 7.0)))
+    jobs.insert(12, (lambda x: math.sqrt(abs(x - 0.3)) if x > 0.0 else 0.0, -1.0, 1.0, (0.3,)))
+    return jobs
+
+
+def _reference_sets():
+    """name -> (spec, jobs) of each set the frozen reference covers: the
+    tolerance catalog at four tolerances, and the conftest 8 x 8
+    catalog's EU and EDU jobs at the default spec. Depth 16 puts
+    depth-exhausted jobs among the catalog's from 1e-6 on, so a batch
+    also ends and restarts at failures, and it caps the work of any job
+    that could not meet its budget."""
+    from conftest import smooth_lotteries, smooth_utilities
+
+    sets = {
+        f"tolerance@{tol:g}": (QuadratureSpec(relative_tolerance=tol, max_subdivision_depth=16), _catalog_jobs())
+        for tol in (1e-3, 1e-6, 1e-9, 1e-12)
+    }
+    pairs = product(smooth_lotteries(), smooth_utilities(), ("eu", "edu"))
+    sets["conftest_8x8"] = (None, [_pair_job(f, u, role) for f, u, role in pairs])
+    return sets
+
+
+# Each job's outcome as integrate() gave it while it ran a refinement loop
+# of its own, separate from integrate_many's; the one loop must reproduce
+# it bit for bit. Regenerate (PYTHONPATH=src python
+# tests/test_numerics.py) only for an intended change of values.
+REFERENCE = Path(__file__).parent / "data" / "integrate_reference.json"
+
+
+def _set_id(name):
+    return name.removeprefix("tolerance@")
+
+
+def _batch(jobs, spec):
+    """integrate_many's outcome of every job: a batch ends at its first
+    failing job, so the jobs after it go to a batch of their own."""
+    got = []
+    while len(got) < len(jobs):
+        got += integrate_many(jobs[len(got) :], spec)
+    return got
+
+
 class TestIntegrateMany:
-    @staticmethod
-    def catalog_jobs():
-        """The tolerance catalog's EU and EDU jobs, with an empty interval,
-        knots outside the interval and a callable of floats only mixed in."""
-        from test_tolerance import CATALOG
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return json.loads(REFERENCE.read_text())
 
-        from aspeq.duality import _pair_job
+    @pytest.mark.parametrize("name", list(_reference_sets()), ids=_set_id)
+    def test_integrate_matches_frozen_reference(self, name, reference):
+        spec, jobs = _reference_sets()[name]
+        assert [_bits(_alone(*job, spec)) for job in jobs] == reference[name]
 
-        jobs = [_pair_job(f, u, role) for _, f, u in CATALOG for role in ("eu", "edu")]
-        jobs.insert(3, (np.exp, 2.0, 2.0, ()))
-        jobs.insert(8, (lambda x: x * x, 0.0, 1.0, (-5.0, 0.5, 7.0)))
-        jobs.insert(12, (lambda x: math.sqrt(abs(x - 0.3)) if x > 0.0 else 0.0, -1.0, 1.0, (0.3,)))
-        return jobs
-
-    @pytest.mark.parametrize("tol", (1e-3, 1e-6, 1e-9, 1e-12))
-    def test_bit_identical_to_integrate(self, tol):
-        # depth 16: at 1e-12 the boundary-layer EDU never meets its budget
-        # (its truncated-Gaussian CDF is only good to about 2e-10 there), and
-        # at the default depth it refines to tens of millions of nodes;
-        # capped, it is a depth-exhausted job inside the batch
-        spec = QuadratureSpec(relative_tolerance=tol, max_subdivision_depth=16)
-        jobs = self.catalog_jobs()
-        want = [_bits(_alone(*job, spec)) for job in jobs]
-        fails = [k for k, w in enumerate(want) if isinstance(w, tuple)]
-        got = [_bits(r) for r in integrate_many(jobs, spec)]
-        assert got == want[: fails[0] + 1 if fails else len(want)]
-        # the jobs after a failure, without it
-        if fails:
-            rest = [job for k, job in enumerate(jobs) if k not in fails]
-            got = [_bits(r) for r in integrate_many(rest, spec)]
-            assert got == [w for k, w in enumerate(want) if k not in fails]
+    @pytest.mark.parametrize("name", list(_reference_sets()), ids=_set_id)
+    def test_bit_identical_to_integrate(self, name, reference):
+        spec, jobs = _reference_sets()[name]
+        assert [_bits(r) for r in _batch(jobs, spec)] == reference[name]
 
     @pytest.mark.parametrize("first", ("non_finite", "depth"))
     def test_list_ends_at_first_failing_job(self, first):
@@ -287,7 +324,7 @@ class TestIntegrateMany:
         failing = [nan_at_half, pole] if first == "non_finite" else [pole, nan_at_half]
         jobs = [smooth, failing[0], smooth, failing[1], smooth]
         alone = [_bits(_alone(*job)) for job in jobs[:2]]
-        assert alone[1][0] is QuadratureError
+        assert alone[1][0] == "QuadratureError"
         assert [_bits(r) for r in integrate_many(jobs)] == alone
 
     def test_jobs_after_a_failure_are_dropped(self):
@@ -307,6 +344,13 @@ class TestIntegrateMany:
         got = integrate_many([(np.exp, 1.0, 0.0, ()), (slow, 0.0, 1.0, ())])
         assert len(got) == 1 and isinstance(got[0], ValueError)
         assert seen == [15]
+        # at depth 1 the pole's second split is stuck, and the slow job
+        # gets no call in that round
+        seen.clear()
+        pole = (lambda x: 1.0 / max(x, 1e-300), 0.0, 1.0, ())
+        got = integrate_many([pole, (slow, 0.0, 1.0, ())], QuadratureSpec(max_subdivision_depth=1))
+        assert len(got) == 1 and "depth exhausted" in str(got[0])
+        assert seen == [15, 30]
 
     def test_bad_limits_and_integrand_errors_are_outcomes(self):
         def broken(xs):
@@ -316,3 +360,15 @@ class TestIntegrateMany:
         got = [integrate_many([job])[0] for job in jobs]
         assert [type(r) for r in got] == [ValueError, ZeroDivisionError, ValueError]
         assert integrate_many([]) == []
+
+
+if __name__ == "__main__":
+    import sys
+
+    sys.path.insert(0, str(Path(__file__).parent))
+    REFERENCE.parent.mkdir(exist_ok=True)
+    sets = {
+        name: [_bits(_alone(*job, spec)) for job in jobs]
+        for name, (spec, jobs) in _reference_sets().items()
+    }
+    REFERENCE.write_text(json.dumps(sets, indent=1) + "\n")

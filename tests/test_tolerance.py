@@ -26,7 +26,8 @@ from aspeq import (
     expected_disutility,
     expected_utility,
 )
-from aspeq.numerics import QuadratureSpec
+from aspeq.duality import _pair_job
+from aspeq.numerics import QuadratureSpec, integrate
 
 mp.mp.dps = 30
 
@@ -155,3 +156,25 @@ def test_boundary_layer_mass_is_seen():
     assert eu == pytest.approx(reference(CATALOG[0][0], "eu"), rel=1e-9)
     # the identity holds to the sum of the two integrals' budgets
     assert eu + edu == pytest.approx(1.0, abs=2e-9)
+
+
+@pytest.mark.parametrize("role", ("eu", "edu"))
+def test_boundary_layer_meets_1e_12(role):
+    # the lottery's CDF must be good to well below 1e-12 in the far tail
+    # it lives in, or refinement chases its noise until memory runs out;
+    # the node cap makes such a regression fail instead of hang
+    case, lottery, utility = CATALOG[0]
+    f, lo, hi, knots = _pair_job(lottery, utility, role)
+    nodes = 0
+
+    def capped(xs):
+        nonlocal nodes
+        nodes += len(xs)
+        if nodes > 100_000:
+            raise RuntimeError("more than 100,000 integrand nodes")
+        return f(xs)
+
+    spec = QuadratureSpec(relative_tolerance=1e-12)
+    got = integrate(capped, lo, hi, spec, knots)
+    want = reference(case, role)
+    assert abs(got - want) <= max(spec.absolute_tolerance, spec.relative_tolerance * abs(want))
