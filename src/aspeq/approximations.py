@@ -1,12 +1,15 @@
 """Second-order approximations of both equivalents, and the cumulant
 series for aspiration equivalents under exponential-kind lotteries.
 
-The certain equivalent expands around the lottery mean with the utility's
-risk tolerance -U'/U'' as the divisor; the aspiration equivalent expands
-around the utility density's mean with the lottery's spread tolerance
--f/f' in the same slot. An infinite tolerance is a sentinel, not an
-error: the correction term is simply zero (linear utility on one side,
-uniform lottery on the other).
+A curve has one tolerance, -C'/C'' in outcome units. Read on a utility
+it is the risk tolerance -U'/U'', the reciprocal of the Arrow-Pratt
+coefficient; read on a lottery it is the spread tolerance -f/f'. The
+certain equivalent expands around the lottery mean with the utility's
+tolerance as the divisor. The aspiration equivalent is the same
+expansion with the roles swapped, as AE(F, U) = CE(U, F): around the
+utility density's mean, with the lottery's tolerance. An infinite
+tolerance is a sentinel, not an error: the correction term is simply
+zero (linear utility on one side, uniform lottery on the other).
 
 For an exponential-kind lottery with rate lam the aspiration equivalent
 has a closed form, lo - (1/lam) ln E_u[exp(-lam (x - lo))]; expanding the
@@ -23,29 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (
-    Curve,
-    ExponentialNormalized,
-    LogWealth,
-    PiecewiseLinear,
-    SingularDensityError,
-    StepFunctionError,
-    Uniform,
-)
-from .duality import aspiration_equivalent, certain_equivalent
-from .numerics import (
-    QuadratureSpec,
-    central_difference,
-    cumulants,
-    integrate,
-    merge_knots,
-    second_difference,
-)
+from .curves import Curve, ExponentialNormalized, SingularDensityError, StepFunctionError
+from .duality import DomainMismatchError, certain_equivalent
+from .numerics import QuadratureSpec, central_difference, cumulants, integrate, merge_knots
 
-# second differences of a unit-range curve with h = 1e-5*span carry
-# roundoff of order 4e-6/span^2; curvature below this floor reads as zero
-ZERO_CURVATURE = 1e-4
-# first differences are much cleaner; density slopes below this floor
+# C'' is a first difference of the density; slopes below this floor
 # (relative to 1/span^2) read as zero
 ZERO_SLOPE = 1e-9
 KINK_GUARD = 2.0
@@ -65,6 +50,7 @@ class ApproxReport:
     approx: float
     first_moment: float
     central_second_moment: float
+    tolerance: float
     tolerance_term: float
     premium: float
 
@@ -86,51 +72,27 @@ def _guard_kinks(curve: Curve, x: float, h: float) -> None:
             )
 
 
-def risk_tolerance(U: Curve, x: float) -> float:
-    """-U'(x)/U''(x): how much curvature the utility shows at x, in
-    outcome units. Infinite (returned as math.inf) where the curve is
-    straight."""
-    U._check_x(x)
-    if U.is_step:
-        raise StepFunctionError("a step utility has no derivatives to compare")
-    if isinstance(U, ExponentialNormalized):
-        return 1.0 / U.gamma
-    if isinstance(U, Uniform):
-        # covers the linear kind too
+def risk_tolerance(C: Curve, x: float) -> float:
+    """-C'(x)/C''(x): how far the curve is from straight at x, in outcome
+    units, with math.inf where it is straight. On a utility this is the
+    risk tolerance -U'/U''; on a lottery it is the spread tolerance
+    -f/f', and spread_tolerance is this function under that name. It is
+    the curve's closed form if it has one, else a density difference."""
+    C._check_x(x)
+    if C.is_step:
+        raise StepFunctionError("a step curve has no density to compare")
+    h = 1e-5 * C.span
+    _guard_kinks(C, x, h)
+    closed = C.tolerance_at(x)
+    if closed is not None:
+        return closed
+    slope = central_difference(C.density, x, h, (C.lo, C.hi))
+    if abs(slope) * C.span**2 <= ZERO_SLOPE:
         return math.inf
-    if isinstance(U, LogWealth):
-        # -U'/U'' of log(wealth + x); the normalization constant cancels
-        return U.wealth + x
-    h = 1e-5 * U.span
-    _guard_kinks(U, x, h)
-    if isinstance(U, PiecewiseLinear):
-        return math.inf
-    up = central_difference(U.value, x, h, (U.lo, U.hi))
-    upp = second_difference(U.value, x, h, (U.lo, U.hi))
-    if abs(upp) * U.span**2 <= ZERO_CURVATURE:
-        return math.inf
-    return -up / upp
+    return -C.density(x) / slope
 
 
-def spread_tolerance(F: Curve, x: float) -> float:
-    """-f(x)/f'(x): the lottery-side twin of risk tolerance, measuring how
-    fast the density is changing at x. Infinite for a flat density."""
-    F._check_x(x)
-    if F.is_step:
-        raise StepFunctionError("a step lottery has no density to compare")
-    if isinstance(F, ExponentialNormalized):
-        return 1.0 / F.gamma
-    if isinstance(F, Uniform):
-        return math.inf
-    h = 1e-5 * F.span
-    _guard_kinks(F, x, h)
-    if isinstance(F, PiecewiseLinear):
-        return math.inf
-    f = F.density(x)
-    fp = central_difference(F.density, x, h, (F.lo, F.hi))
-    if abs(fp) * F.span**2 <= ZERO_SLOPE:
-        return math.inf
-    return -f / fp
+spread_tolerance = risk_tolerance
 
 
 def ce_taylor2(
@@ -140,18 +102,40 @@ def ce_taylor2(
     moments: tuple[float, float] | None = None,
 ) -> ApproxReport:
     """Certain equivalent to second order: lottery mean minus half its
-    variance over the risk tolerance at the mean. moments, when given, is
-    F.density_moments(spec), computed once for a lottery met again."""
+    variance over the utility's tolerance at the mean. moments, when
+    given, is F.density_moments(spec), computed once for a lottery met
+    again. ae_taylor2 calls this with the roles swapped, so no message
+    here names a role."""
     mean, var = moments or F.density_moments(spec)
-    rt = risk_tolerance(U, mean)
-    term = 0.0 if math.isinf(rt) else -0.5 * var / rt
+    try:
+        rt = risk_tolerance(U, mean)
+    except CurvatureError as exc:
+        raise CurvatureError(
+            f"{exc}; if the density is meant to be flat there, the "
+            "tolerance is infinite and the approximation is just the mean"
+        ) from exc
+    # a point mass (a step's moments) needs no correction, even where the
+    # tolerance at its point is 0 or undefined
+    term = 0.0 if var == 0.0 or math.isinf(rt) else -0.5 * var / rt
     approx = mean + term
+    # certain_equivalent would word these two refusals by role
+    if (F.lo, F.hi) != (U.lo, U.hi):
+        raise DomainMismatchError(
+            f"curves on [{F.lo!r}, {F.hi!r}] and [{U.lo!r}, {U.hi!r}] do not "
+            "share one interval"
+        )
+    if F.has_singular_density:  # reached only with moments given
+        raise SingularDensityError(
+            f"{F.kind} density is unbounded at an endpoint; the exact "
+            "equivalent would integrate it"
+        )
     exact = certain_equivalent(F, U, spec)
     return ApproxReport(
         exact=exact,
         approx=approx,
         first_moment=mean,
         central_second_moment=var,
+        tolerance=rt,
         tolerance_term=term,
         premium=mean - approx,
     )
@@ -165,27 +149,9 @@ def ae_taylor2(
 ) -> ApproxReport:
     """Aspiration equivalent to second order: utility-density mean minus
     half its variance over the lottery's spread tolerance at that mean.
+    This is ce_taylor2 with the roles swapped, as AE(F, U) = CE(U, F).
     moments, when given, is U.density_moments(spec)."""
-    mean, var = moments or U.density_moments(spec)
-    try:
-        st = spread_tolerance(F, mean)
-    except CurvatureError as exc:
-        raise CurvatureError(
-            f"{exc}; if the density is meant to be flat there, the spread "
-            "tolerance is infinite and the approximation is just the "
-            "utility-density mean"
-        ) from exc
-    term = 0.0 if math.isinf(st) else -0.5 * var / st
-    approx = mean + term
-    exact = aspiration_equivalent(F, U, spec)
-    return ApproxReport(
-        exact=exact,
-        approx=approx,
-        first_moment=mean,
-        central_second_moment=var,
-        tolerance_term=term,
-        premium=mean - approx,
-    )
+    return ce_taylor2(U, F, spec, moments)
 
 
 def ae_cumulant_series(

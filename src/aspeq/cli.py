@@ -32,8 +32,6 @@ from .approximations import (
     ae_cumulant_series,
     ae_taylor2,
     ce_taylor2,
-    risk_tolerance,
-    spread_tolerance,
 )
 from .curves import CurveError, CurveParameterError, ExponentialNormalized
 from .delegation import desiderata_report, update_target
@@ -296,7 +294,7 @@ def _cmd_update_target(scenario: Scenario, args: argparse.Namespace) -> _Out:
     round_trip = abs(aspiration_equivalent(old, u, spec) - target)
     limit = 1e-5 * (scenario.hi - scenario.lo)
     verdict = "PASS" if round_trip <= limit else "FAIL"
-    rt = 1.0 / upd.effective_gamma if upd.effective_gamma != 0.0 else math.inf
+    rt = u.tolerance_at(scenario.lo)
 
     out = _Out()
     out.line(f"old lottery {old_name}, target {_fmt(target)}")
@@ -509,13 +507,13 @@ def _cmd_approx(scenario: Scenario, args: argparse.Namespace) -> _Out:
             values = {
                 "lottery_mean": ce.first_moment,
                 "lottery_var": ce.central_second_moment,
-                "risk_tolerance": risk_tolerance(U, ce.first_moment),
+                "risk_tolerance": ce.tolerance,
                 "ce_exact": ce.exact,
                 "ce_approx": ce.approx,
                 "ce_premium": ce.premium,
                 "utility_mean": ae.first_moment,
                 "utility_var": ae.central_second_moment,
-                "spread_tolerance": spread_tolerance(F, ae.first_moment),
+                "spread_tolerance": ae.tolerance,
                 "ae_exact": ae.exact,
                 "ae_approx": ae.approx,
                 "ae_premium": ae.premium,
@@ -559,7 +557,7 @@ def _cmd_solve_gamma(scenario: Scenario, args: argparse.Namespace) -> _Out:
     g = effective_gamma(f, target, spec, value_tolerance=tol)
     u = exponential_or_linear(scenario.lo, scenario.hi, g)
     achieved = aspiration_equivalent(f, u, spec)
-    rt = 1.0 / g if g != 0.0 else math.inf
+    rt = u.tolerance_at(scenario.lo)
     out = _Out()
     out.line(f"lottery {name}, target {_fmt(target)}")
     out.line(f"effective gamma: {_fmt(g)}")

@@ -5,8 +5,9 @@ The same object serves two roles: read as a cumulative distribution it
 describes a lottery; read as a normalized utility it describes preference.
 Every kind exposes value, density (derivative of value), and quantile
 (generalized inverse), plus its interior kinks so quadrature can split
-panels there. value and density take a float or a 1-D array of points
-(a float in gives a float out); quantile takes one probability.
+panels there and its tolerance -C'/C'' where that has a closed form.
+value and density take a float or a 1-D array of points (a float in
+gives a float out); quantile takes one probability.
 
 Step is the one deliberately degenerate member: its density is a point
 mass, so density() and any path that needs one raise StepFunctionError,
@@ -116,6 +117,13 @@ class Curve:
         nonsmoothness meaning."""
         return ()
 
+    def tolerance_at(self, x: float) -> float | None:
+        """-C'(x)/C''(x) in closed form, or None where only finite
+        differences give it. Read on a utility this is the risk tolerance
+        -U'/U''; read on a lottery, the spread tolerance -f/f'. The caller
+        checks x."""
+        return None
+
     def _check_x(self, x: float | np.ndarray) -> np.ndarray:
         try:
             xs = np.asarray(x, dtype=float)
@@ -181,6 +189,9 @@ class Uniform(Curve):
     def quantile(self, p: float) -> float:
         self._check_p(p)
         return self.lo + p * self.span
+
+    def tolerance_at(self, x: float) -> float:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -338,6 +349,9 @@ class ExponentialNormalized(Curve):
             return self.hi
         return self.lo - math.log1p(p * self._full) / self.gamma
 
+    def tolerance_at(self, x: float) -> float:
+        return 1.0 / self.gamma
+
     def sample_hints(self) -> tuple[float, ...]:
         # at large |gamma|*span the density is a boundary layer of width
         # 1/|gamma|; a geometric ladder of cuts walks quadrature into it
@@ -443,6 +457,10 @@ class LogWealth(Curve):
         self._check_p(p)
         return (self.wealth + self.lo) * math.exp(p * self._scale) - self.wealth
 
+    def tolerance_at(self, x: float) -> float:
+        # the normalization constant cancels
+        return self.wealth + x
+
 
 @dataclass(frozen=True)
 class Step(Curve):
@@ -525,6 +543,10 @@ class PiecewiseLinear(Curve):
 
     def kinks(self) -> tuple[float, ...]:
         return tuple(x for x, _ in self.points[1:-1])
+
+    def tolerance_at(self, x: float) -> float:
+        # straight between kinks; risk_tolerance refuses points near one
+        return math.inf
 
     def _segment(self, x: np.ndarray) -> np.ndarray:
         return np.clip(np.searchsorted(self._xs, x, side="right") - 1, 0, len(self._dx) - 1)

@@ -30,7 +30,7 @@ from .duality import (
     expected_utility,
     exponential_or_linear,
 )
-from .numerics import QuadratureSpec, integrate, merge_knots
+from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate, merge_knots
 
 GRID_TOLERANCE = 1e-9
 DEFAULT_GRID = 2048
@@ -156,7 +156,7 @@ def dominance_implications(
         )
     mean_a, _ = A.density_moments(spec)
     mean_b, _ = B.density_moments(spec)
-    tol = 2.0 * (spec.relative_tolerance if spec else 1e-9)
+    tol = 2.0 * (spec or DEFAULT_QUADRATURE).relative_tolerance
     return ImplicationReport(
         verdict=verdict,
         mean_margin=mean_a - mean_b,

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: quadrature, bracketed root finding, difference
-stencils, and cumulants of a density on a bounded interval.
+"""Shared numerical kernels: quadrature, bracketed root finding, a difference
+stencil, and cumulants of a density on a bounded interval.
 
 Everything here works on plain callables over a closed interval [lo, hi].
 The quadrature is globally adaptive Gauss-Kronrod 7/15: each panel's
@@ -467,29 +467,6 @@ def central_difference(
     elif h is None:
         h = 1e-5 * max(1.0, abs(x))
     return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def second_difference(
-    f: Callable[[float], float],
-    x: float,
-    h: float | None = None,
-    bounds: tuple[float, float] | None = None,
-) -> float:
-    """Second-order second derivative, one-sided at the ends like
-    central_difference."""
-    if bounds is not None:
-        lo, hi = bounds
-        if not lo <= x <= hi:
-            raise ValueError(f"x={x!r} outside bounds [{lo!r}, {hi!r}]")
-        if h is None:
-            h = 1e-5 * (hi - lo)
-        if x - h < lo:
-            return (2.0 * f(x) - 5.0 * f(x + h) + 4.0 * f(x + 2.0 * h) - f(x + 3.0 * h)) / h**2
-        if x + h > hi:
-            return (2.0 * f(x) - 5.0 * f(x - h) + 4.0 * f(x - 2.0 * h) - f(x - 3.0 * h)) / h**2
-    elif h is None:
-        h = 1e-5 * max(1.0, abs(x))
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / h**2
 
 
 def cumulants(

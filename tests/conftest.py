@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -52,3 +53,11 @@ def smooth_utilities(lo=0.0, hi=1.0):
 @pytest.fixture(scope="session")
 def catalog():
     return smooth_lotteries(), smooth_utilities()
+
+
+@pytest.fixture(autouse=True)
+def oracle_precision():
+    """Hold the mpmath oracles at 30 digits in every test, whatever another
+    module collected in the same session sets the global precision to."""
+    with mpmath.workdps(30):
+        yield

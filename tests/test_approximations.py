@@ -1,6 +1,8 @@
 """Curvature tolerances, second-order equivalents, cumulant series."""
 
 import math
+from dataclasses import astuple
+from itertools import product
 
 import mpmath as mp
 import pytest
@@ -8,12 +10,15 @@ import pytest
 import oracles
 from aspeq import (
     CurvatureError,
+    Curve,
+    DomainMismatchError,
     ExponentialNormalized,
     Linear,
     LogWealth,
     PiecewiseLinear,
     ScaledBeta,
     SeriesDivergenceWarning,
+    SingularDensityError,
     Step,
     StepFunctionError,
     Triangular,
@@ -255,3 +260,87 @@ class TestCumulantSeries:
         F = ExponentialNormalized(0.0, 1.0, gamma=2.0)
         with pytest.raises(StepFunctionError):
             ae_cumulant_series(F, Step(0.0, 1.0, threshold=0.5), terms=3)
+
+
+class TestOneTolerance:
+    @pytest.mark.parametrize(
+        "curve,xs",
+        [
+            (Uniform(0.0, 2.0), (0.3, 1.0, 1.7)),
+            (Linear(-1.0, 1.0), (-0.5, 0.0, 0.8)),
+            (ExponentialNormalized(0.0, 1.0, gamma=5.0), (0.1, 0.5, 0.9)),
+            (ExponentialNormalized(0.0, 10.0, gamma=-0.7), (1.0, 5.0, 9.0)),
+            (LogWealth(0.0, 10.0, wealth=2.5), (1.0, 4.0, 9.0)),
+            (PiecewiseLinear(0.0, 1.0, points=((0.0, 0.0), (0.4, 0.7), (1.0, 1.0))), (0.2, 0.7)),
+        ],
+        ids=["uniform", "linear", "exponential", "exponential_convex", "log_wealth", "piecewise_linear"],
+    )
+    def test_closed_form_matches_density_recipe(self, curve, xs, monkeypatch):
+        closed = [risk_tolerance(curve, x) for x in xs]
+        # without the hook the curve takes the density finite-difference path
+        monkeypatch.setattr(type(curve), "tolerance_at", Curve.tolerance_at)
+        numeric = [risk_tolerance(curve, x) for x in xs]
+        assert closed == [pytest.approx(v, rel=1e-6) for v in numeric]
+
+    @pytest.mark.parametrize(
+        "U,x,want",
+        [
+            # -U'/U'' = scale^2 / (x - center)
+            (TruncatedGaussian(0.0, 1.0, center=0.8, scale=0.4), 0.3, 0.4**2 / (0.3 - 0.8)),
+            # density 12 x (1-x)^2
+            (ScaledBeta(0.0, 1.0, alpha=2.0, beta=3.0), 0.2, -0.2 * 0.8 / (1.0 - 3.0 * 0.2)),
+            # density 4x left of the mode
+            (Triangular(0.0, 1.0), 0.25, -0.25),
+        ],
+        ids=["truncated_gaussian", "scaled_beta", "triangular"],
+    )
+    def test_finite_difference_utility_matches_closed_form(self, U, x, want):
+        assert risk_tolerance(U, x) == pytest.approx(want, rel=1e-8)
+
+    def test_log_wealth_spread_tolerance_is_exact(self):
+        F = LogWealth(0.0, 10.0, wealth=2.5)
+        for x in (0.0, 3.7, 10.0):
+            assert spread_tolerance(F, x) == 2.5 + x
+
+
+class TestRoleSwap:
+    def test_ae_is_ce_with_roles_swapped(self, catalog):
+        for F, U in product(*catalog):
+            try:
+                ae = ae_taylor2(F, U)
+            except CurvatureError as exc:
+                with pytest.raises(CurvatureError) as swapped:
+                    ce_taylor2(U, F)
+                assert str(swapped.value) == str(exc)
+                continue
+            ce = ce_taylor2(U, F)
+            assert [v.hex() for v in astuple(ae)] == [v.hex() for v in astuple(ce)]
+            assert ae.exact == aspiration_equivalent(F, U)
+            assert ae.tolerance == spread_tolerance(F, ae.first_moment)
+
+    @pytest.mark.parametrize(
+        "F,U,moments",
+        [
+            (Triangular(0.0, 1.0, mode=0.3), ScaledBeta(0.0, 1.0, alpha=0.5, beta=2.0), (0.4, 0.05)),
+            (Uniform(0.0, 1.0), Linear(0.0, 2.0), (0.5, 0.1)),
+        ],
+        ids=["singular_utility", "domains"],
+    )
+    def test_ae_refusals_do_not_call_the_utility_a_lottery(self, F, U, moments):
+        with pytest.raises((SingularDensityError, DomainMismatchError)) as refused:
+            ae_taylor2(F, U, moments=moments)
+        message = str(refused.value)
+        assert "lottery density" not in message
+        assert f"lottery domain [{U.lo!r}, {U.hi!r}]" not in message
+
+    @pytest.mark.parametrize(
+        "curve",
+        [ScaledBeta(0.0, 1.0, alpha=2.0, beta=3.0), ScaledBeta(0.0, 1.0, alpha=2.0, beta=0.5)],
+        ids=["density_zero_at_hi", "density_unbounded_at_hi"],
+    )
+    def test_point_mass_needs_no_correction(self, curve):
+        # the tolerance at hi is 0 or undefined; a step has nothing to correct
+        step = Step(0.0, 1.0, threshold=1.0)
+        for rep in (ae_taylor2(curve, step), ce_taylor2(step, curve)):
+            assert rep.tolerance_term == 0.0
+            assert rep.approx == rep.exact == 1.0

@@ -22,7 +22,6 @@ from aspeq.numerics import (
     integrate,
     integrate_many,
     merge_knots,
-    second_difference,
 )
 
 
@@ -145,14 +144,6 @@ class TestDifferences:
         # one-sided stencil engages; still consistent
         d = central_difference(lambda x: x**3, 0.0, bounds=(0.0, 1.0))
         assert d == pytest.approx(0.0, abs=1e-6)
-
-    def test_second_derivative(self):
-        d = second_difference(lambda x: math.sin(x), 0.7)
-        assert d == pytest.approx(-math.sin(0.7), rel=1e-4)
-
-    def test_second_derivative_boundary(self):
-        d = second_difference(lambda x: x**2, 0.0, bounds=(0.0, 1.0))
-        assert d == pytest.approx(2.0, rel=1e-4)
 
 
 class TestCumulants:
