@@ -77,7 +77,8 @@ def risk_tolerance(C: Curve, x: float) -> float:
     units, with math.inf where it is straight. On a utility this is the
     risk tolerance -U'/U''; on a lottery it is the spread tolerance
     -f/f', and spread_tolerance is this function under that name. It is
-    the curve's closed form if it has one, else a density difference."""
+    the curve's closed form if it has one, else a density difference;
+    at an endpoint where the density is 0 or unbounded it is 0.0."""
     C._check_x(x)
     if C.is_step:
         raise StepFunctionError("a step curve has no density to compare")
@@ -86,10 +87,14 @@ def risk_tolerance(C: Curve, x: float) -> float:
     closed = C.tolerance_at(x)
     if closed is not None:
         return closed
+    f = C.density(x)
+    if x in (C.lo, C.hi) and (f == 0.0 or math.isinf(f)):
+        # -f/f' tends to 0 at an end where the density vanishes or blows up
+        return 0.0
     slope = central_difference(C.density, x, h, (C.lo, C.hi))
     if abs(slope) * C.span**2 <= ZERO_SLOPE:
         return math.inf
-    return -C.density(x) / slope
+    return -f / slope
 
 
 spread_tolerance = risk_tolerance

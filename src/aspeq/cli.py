@@ -632,6 +632,7 @@ _HANDLERS: dict[str, Callable[[Scenario, argparse.Namespace], _Out]] = {
 COMMANDS = tuple(_HANDLERS)
 
 
+@cache  # building costs some 35 parses, and main may run many times per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aspeq",

@@ -40,6 +40,7 @@ from .curves import (
 )
 from .numerics import (
     DEFAULT_QUADRATURE,
+    Product,
     QuadratureSpec,
     RootBracket,
     find_root,
@@ -87,7 +88,9 @@ def _require_shared_domain(lottery: Curve, utility: Curve) -> None:
 def _pair_job(lottery: Curve, utility: Curve, role: str) -> float | tuple:
     """expected_utility (role "eu") or expected_disutility ("edu") up to
     its quadrature: a step shortcut's value, or the (integrand, lo, hi,
-    knots) job to integrate.
+    knots) job to integrate, whose integrand is the Product of the
+    weight's density and the curve's value, so that a batch calls each
+    curve's kernels once per round for every pair it is in.
 
     Both integrate one curve's density (the weight) times the other's
     value over the shared interval: EU weights the utility by the
@@ -114,7 +117,7 @@ def _pair_job(lottery: Curve, utility: Curve, role: str) -> float | tuple:
     knots = merge_knots(
         weight.kinks(), curve.kinks(), weight.sample_hints(), curve.sample_hints()
     )
-    return (lambda x: weight.density(x) * curve.value(x), weight.lo, weight.hi, knots)
+    return (Product(weight.density, curve.value), weight.lo, weight.hi, knots)
 
 
 def _pair_integral(

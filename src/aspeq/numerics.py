@@ -10,12 +10,19 @@ that know where an integrand loses smoothness pass those abscissae as
 knots; panels never straddle a knot. There is one refinement loop:
 integrate_many refines a list of independent integrals in lockstep, and
 integrate is integrate_many of one job.
+
+An integrand is a product of factors (Product; a plain callable is a
+product of one), and a batch samples them curve-major: each round calls
+each distinct factor once, on the nodes of every integral that uses it,
+so a curve's density or value met by a whole matrix row is one call
+per round.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -143,6 +150,92 @@ def _batched(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return call
 
 
+class Product:
+    """The integrand factors[0](x) * factors[1](x) * ..., multiplied in
+    that order. integrate_many calls each distinct factor (factors that
+    compare equal, such as one curve's bound density) once per round, on
+    the nodes of every integral in the batch that uses it."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, *factors: Callable) -> None:
+        if not factors:
+            raise TypeError("a Product needs at least one factor")
+        self.factors = factors
+
+    def __call__(self, x):
+        y = self.factors[0](x)
+        for factor in self.factors[1:]:
+            y = y * factor(x)
+        return y
+
+
+class _Integrands:
+    """The opened jobs' integrands, sampled curve-major.
+
+    A round of several integrals calls each distinct factor once, on the
+    nodes of all the integrals that use it, and multiplies each
+    integral's factors in order; the products are elementwise, so every
+    value has the bits its own product gives. A factor whose grouped call
+    fails (it raises, or gives no array of the nodes' shape) sends the
+    integrals that use it back to being sampled on their own, through
+    _batched, for the rest of the loop, so each gets the value or the
+    exception it gets alone. So does a factor that is no dict key."""
+
+    def __init__(self, integrands: dict[int, Callable]) -> None:
+        self.integrands = integrands
+        self.uses: dict[int, list[int]] = {}  # job -> its factors' numbers, in order
+        self.alone: dict[int, Callable] = {}
+        number: dict = {}
+        for n, f in integrands.items():
+            try:
+                factors = f.factors if isinstance(f, Product) else (f,)
+                self.uses[n] = [number.setdefault(g, len(number)) for g in factors]
+            except TypeError:  # unhashable: sampled alone
+                pass
+        self.kernels = list(number)
+
+    def solo(self, n: int) -> Callable:
+        """Job n's integrand as it is sampled alone."""
+        if n not in self.alone:
+            self.alone[n] = _batched(self.integrands[n])
+        return self.alone[n]
+
+    def sample(self, ids: list[int], sizes: list[int], xs: np.ndarray) -> dict[int, np.ndarray]:
+        """Each integral's values at its nodes, the next sizes[k] rows of
+        xs for the integral of job ids[k], keyed by k; an integral
+        sampled alone (solo) has none."""
+        starts = [0, *accumulate(sizes)]
+        users: dict[int, list[int]] = {}
+        for k, n in enumerate(ids):
+            for g in self.uses.get(n, ()):
+                users.setdefault(g, []).append(k)
+        values = {}
+        for g, ks in users.items():
+            rows = [xs[starts[k] : starts[k + 1]] for k in ks]
+            at = (rows[0] if len(rows) == 1 else np.concatenate(rows)).ravel()
+            try:
+                ys = self.kernels[g](at)
+                if not (isinstance(ys, np.ndarray) and ys.shape == at.shape):
+                    raise TypeError
+            except Exception:
+                for k in ks:
+                    self.uses.pop(ids[k], None)
+                continue
+            width = [len(_NODES) * sizes[k] for k in ks]
+            for k, s, w in zip(ks, accumulate(width, initial=0), width):
+                values[k, g] = ys[s : s + w]
+        products = {}
+        for k, n in enumerate(ids):
+            if n in self.uses:
+                first, *rest = self.uses[n]
+                y = values[k, first]
+                for g in rest:
+                    y = y * values[k, g]
+                products[k] = y
+        return products
+
+
 def _opening(lo: float, hi: float, knots: Iterable[float]) -> list[float]:
     """Cut points of the opening panels, one panel per knot interval; none
     for an empty interval."""
@@ -176,7 +269,8 @@ def integrate(
     its exception if it fails.
 
     f may map a node array to a value array, which integrates each round
-    of refinement in one call; a callable of one float works too.
+    of refinement in one call; a callable of one float works too, and so
+    does a Product of such callables.
 
     knots lists interior points where f or a derivative may jump; the
     interval opens with one 15-node panel per piece between them, and no
@@ -206,8 +300,9 @@ def integrate_many(
     rule, so its value does not depend on the other jobs. What the loop
     shares is the bookkeeping of a round: node placement, error
     estimates, sorting, splitting and merging run once over every
-    integral's panels. Each integrand gets one call per round for its
-    own new nodes.
+    integral's panels. Each distinct factor of the integrands (see
+    Product; a plain callable is one factor) gets one call per round, on
+    the new nodes of every integral that uses it.
 
     The list holds each job's value in job order, up to the first job
     that fails (bad limits, an integrand error, a non-finite value, depth
@@ -217,7 +312,7 @@ def integrate_many(
     """
     spec = spec or DEFAULT_QUADRATURE
     results: list = [None] * len(jobs)
-    calls: dict[int, Callable] = {}
+    opened: dict[int, Callable] = {}
     sizes: list[int] = []
     lefts: list[float] = []
     rights: list[float] = []
@@ -228,34 +323,36 @@ def integrate_many(
             results[n] = exc
             break
         if cuts:
-            calls[n] = _batched(f)
+            opened[n] = f
             sizes.append(len(cuts) - 1)
             lefts += cuts[:-1]
             rights += cuts[1:]
         else:
             results[n] = 0.0
-    if calls:
-        _refine(calls, sizes, np.array(lefts), np.array(rights), spec, results)
+    if opened:
+        _refine(_Integrands(opened), sizes, np.array(lefts), np.array(rights), spec, results)
     for n, r in enumerate(results):
         if isinstance(r, Exception):
             return results[: n + 1]
     return results
 
 
-def _estimates(calls, ids, sizes, a, b, cut, results) -> tuple[np.ndarray, np.ndarray, int]:
+def _estimates(integrands, ids, sizes, a, b, cut, results) -> tuple[np.ndarray, np.ndarray, int]:
     """Kronrod estimate and QUADPACK error estimate of each panel [a, b];
     the panels are grouped by integral, sizes[k] of them for the integral
     of job ids[k].
 
-    Each of the first cut integrals samples its nodes in one call, and its
-    rows go through the three matrix-vector products on their own:
-    stacked with other integrals' rows, the products round differently.
-    An integral whose integrand raises or returns a non-finite value gets
-    that exception as its result. The integrals from the first such one
-    on, and those from cut on, get NaN estimates; the cut returned leaves
-    them out."""
+    The first cut integrals are sampled together (_Integrands.sample),
+    and each one's rows go through the three matrix-vector products on
+    their own: stacked with other integrals' rows, the products round
+    differently. An integral whose integrand raises or returns a
+    non-finite value gets that exception as its result. The integrals
+    from the first such one on, and those from cut on, get NaN estimates;
+    the cut returned leaves them out."""
     half = 0.5 * (b - a)
     xs = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
+    # a lone integral has no factor to share
+    products = integrands.sample(ids[:cut], sizes[:cut], xs) if cut > 1 else {}
     rules = []
     first, s = cut, 0
     for k, size in enumerate(sizes):
@@ -264,7 +361,7 @@ def _estimates(calls, ids, sizes, a, b, cut, results) -> tuple[np.ndarray, np.nd
         ys = None
         if k < cut:
             try:
-                ys = calls[ids[k]](nodes)
+                ys = products[k] if k in products else integrands.solo(ids[k])(nodes)
                 finite = np.isfinite(ys)
                 if not finite.all():
                     x = float(nodes[np.argmin(finite)])
@@ -290,7 +387,7 @@ def _estimates(calls, ids, sizes, a, b, cut, results) -> tuple[np.ndarray, np.nd
     return half * kronrod, half * error, first
 
 
-def _refine(calls, sizes: list[int], a, b, spec: QuadratureSpec, results: list) -> None:
+def _refine(integrands, sizes: list[int], a, b, spec: QuadratureSpec, results: list) -> None:
     """The refinement loop of integrate_many over the opened integrals,
     in job order; sizes[k] of the opening panels a, b are the k-th one's.
 
@@ -303,9 +400,9 @@ def _refine(calls, sizes: list[int], a, b, spec: QuadratureSpec, results: list) 
     of a round is vectorized across integrals. With one integral left the
     sorting, splitting and merging need no regrouping. The first integral
     to fail, in job order, leaves the loop with every integral after it."""
-    ids = list(calls)
+    ids = list(integrands.integrands)
     depth = np.full(len(a), spec.max_subdivision_depth)
-    value, error, cut = _estimates(calls, ids, sizes, a, b, len(ids), results)
+    value, error, cut = _estimates(integrands, ids, sizes, a, b, len(ids), results)
     while True:
         live, remaining, budget = [], [], []
         s = 0
@@ -372,7 +469,7 @@ def _refine(calls, sizes: list[int], a, b, spec: QuadratureSpec, results: list) 
             halves = np.argsort(np.concatenate([row[split], row[split]]), kind="stable")
             new_a, new_b, new_depth = new_a[halves], new_b[halves], new_depth[halves]
         new_sizes = [2 * c for c in counts]
-        new_value, new_error, cut = _estimates(calls, ids, new_sizes, new_a, new_b, cut, results)
+        new_value, new_error, cut = _estimates(integrands, ids, new_sizes, new_a, new_b, cut, results)
 
         keep = np.ones(len(a), dtype=bool)
         keep[split] = False

@@ -109,6 +109,34 @@ class TestSpreadTolerance:
         with pytest.raises(StepFunctionError):
             spread_tolerance(Step(0.0, 1.0, threshold=0.5), 0.4)
 
+    @pytest.mark.parametrize(
+        "F,x",
+        [
+            (ScaledBeta(0.0, 1.0, alpha=2.0, beta=0.5), 1.0),
+            (ScaledBeta(-3.0, 5.0, alpha=0.5, beta=2.0), -3.0),
+        ],
+        ids=["upper", "lower"],
+    )
+    def test_unbounded_density_end_is_the_limit(self, F, x):
+        # f ~ d^(-1/2) at distance d from the end, so -f/f' = 2d -> 0
+        assert math.isinf(F.density(x))
+        assert risk_tolerance(F, x) == 0.0
+
+    @pytest.mark.parametrize(
+        "F,x",
+        [
+            (ScaledBeta(0.0, 1.0, alpha=2.0, beta=2.0), 0.0),
+            (ScaledBeta(0.0, 1.0, alpha=2.0, beta=2.0), 1.0),
+            (ScaledBeta(0.0, 1.0, alpha=2.0, beta=3.0), 1.0),
+            (Triangular(0.0, 1.0, mode=0.3), 0.0),
+        ],
+        ids=["beta_lower", "beta_upper", "beta_flat_upper", "triangular_lower"],
+    )
+    def test_zero_density_end_is_positive_zero(self, F, x):
+        assert F.density(x) == 0.0
+        got = spread_tolerance(F, x)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
 
 class TestCeTaylor:
     def test_exponential_utility_triangular_lottery(self):

@@ -64,6 +64,26 @@ class TestParsing:
         assert "not valid JSON" in capsys.readouterr().err
 
 
+class TestOneParserPerProcess:
+    """main builds its parser once per process; runs after the first must
+    not see anything an earlier run left on it."""
+
+    def test_commands_in_turn_give_golden_bytes(self, tmp_path, capsys):
+        from test_golden import GOLDEN, SUFFIXES, render
+
+        for command, fixture in (("solve-gamma", "paper_sec4"), ("eval", "table2"), ("solve-gamma", "paper_sec4")):
+            got = render(command, fixture, tmp_path)
+            for suffix in SUFFIXES:
+                assert got[suffix] == (GOLDEN / f"{command}__{fixture}.{suffix}").read_bytes()
+        with pytest.raises(SystemExit):
+            run("eval")
+        first = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            run("eval")
+        assert capsys.readouterr().err == first
+        assert "the following arguments are required: --scenario" in first
+
+
 class TestEval:
     def test_basic_table(self, tmp_path):
         code, text = run("eval", "--scenario", write_scenario(tmp_path, BASIC))

@@ -9,10 +9,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from aspeq.duality import _pair_job
+import aspeq.numerics as numerics
+from aspeq import DomainError, ExponentialNormalized, LogWealth, ScaledBeta, Triangular
+from aspeq.duality import _pair_job, evaluate_pairs
 from aspeq.numerics import (
     BracketError,
     NormalizationError,
+    Product,
     QuadratureError,
     QuadratureSpec,
     RootBracket,
@@ -351,6 +354,131 @@ class TestIntegrateMany:
         got = [integrate_many([job])[0] for job in jobs]
         assert [type(r) for r in got] == [ValueError, ZeroDivisionError, ValueError]
         assert integrate_many([]) == []
+
+
+def _as_lambdas(jobs):
+    """The same jobs with each Product written as a lambda of its own."""
+    return [
+        ((lambda x, fs=f.factors: math.prod(g(x) for g in fs)) if isinstance(f, Product) else f, lo, hi, k)
+        for f, lo, hi, k in jobs
+    ]
+
+
+def _catalog_20():
+    """20 lotteries and 20 utilities on [0, 1]."""
+    from conftest import smooth_lotteries, smooth_utilities
+
+    lotteries = smooth_lotteries() + [
+        *(ScaledBeta(0.0, 1.0, alpha=1.5 + k, beta=2.0 + 0.5 * k) for k in range(6)),
+        *(Triangular(0.0, 1.0, mode=0.1 * k) for k in range(1, 7)),
+    ]
+    utilities = smooth_utilities() + [
+        *(ExponentialNormalized(0.0, 1.0, gamma=g) for g in (-4.0, -1.0, 1.0, 2.0, 4.0, 6.0)),
+        *(LogWealth(0.0, 1.0, wealth=w) for w in (0.1, 0.3, 1.0, 2.0, 4.0, 8.0)),
+    ]
+    return lotteries, utilities
+
+
+class TestCurveMajorSampling:
+    """A batch calls each distinct factor of its Product integrands once
+    per round, and every outcome is what the integrands written as
+    lambdas give."""
+
+    def test_each_kernel_once_per_round(self, monkeypatch):
+        lotteries, utilities = _catalog_20()
+        curves = lotteries + utilities
+        calls = {}
+        for name in ("density", "value"):
+            owners = {next(k for k in type(c).__mro__ if name in k.__dict__) for c in curves}
+            for owner in owners:
+                method = owner.__dict__[name]
+
+                def counted(self, x, method=method, name=name):
+                    calls[id(self), name] = calls.get((id(self), name), 0) + 1
+                    return method(self, x)
+
+                monkeypatch.setattr(owner, name, counted)
+        rounds = []
+        estimates = numerics._estimates
+
+        def counting(*args):
+            rounds.append(len(args[2]))  # integrals in the round
+            return estimates(*args)
+
+        monkeypatch.setattr(numerics, "_estimates", counting)
+        pairs = [(f, u) for f in lotteries for u in utilities]
+        got = list(evaluate_pairs(pairs))
+        assert len(got) == 400 and len(rounds) > 1
+        # each curve is in 40 of the 800 integrals, its density in 20 and
+        # its value in 20
+        assert len(calls) == 2 * len(curves)
+        assert max(calls.values()) <= len(rounds)
+
+    def test_matrix_results_match_lambdas(self):
+        lotteries, utilities = _catalog_20()
+        jobs = [_pair_job(f, u, role) for f in lotteries for u in utilities for role in ("eu", "edu")]
+        assert [_bits(r) for r in integrate_many(jobs)] == [_bits(r) for r in integrate_many(_as_lambdas(jobs))]
+
+    def test_factor_raising_on_one_job(self):
+        # the beta's density is shared by three jobs and raises DomainError
+        # on the second one's nodes past 1: the first job refines on alone
+        # and the list ends at the second with the error it raises alone
+        beta, exp2 = ScaledBeta(0.0, 1.0, alpha=2.0, beta=3.0), ExponentialNormalized(0.0, 1.5, gamma=2.0)
+        jobs = [
+            (Product(beta.density, exp2.value), 0.0, 1.0, ()),
+            (Product(beta.density, exp2.value), 0.0, 1.5, ()),
+            (Product(exp2.density, beta.density), 0.0, 1.0, ()),
+        ]
+        got = integrate_many(jobs)
+        assert len(got) == 2 and isinstance(got[1], DomainError)
+        assert [_bits(r) for r in got] == [_bits(r) for r in integrate_many(_as_lambdas(jobs))]
+        assert _bits(got[0]) == _bits(_alone(*_as_lambdas(jobs)[0]))
+
+    def test_factors_that_cannot_be_grouped(self):
+        # math.exp takes no array, the constant gives a float for one, and
+        # the unhashable factor is no dict key: the jobs that use them are
+        # sampled alone, as their lambdas are, and the others stay grouped
+        class Unhashable:
+            __hash__ = None
+
+            def __call__(self, x):
+                return np.sqrt(x)
+
+        beta = ScaledBeta(0.0, 1.0, alpha=2.0, beta=3.0)
+        jobs = [
+            (Product(beta.density, math.exp), 0.0, 1.0, ()),
+            (Product(beta.density, beta.value), 0.0, 1.0, ()),
+            (Product(math.exp, beta.value), 0.0, 1.0, (0.5,)),
+            (Product(lambda x: 2.0, beta.value), 0.0, 1.0, ()),
+            (Product(beta.value, Unhashable()), 0.0, 1.0, ()),
+        ]
+        got = integrate_many(jobs)
+        assert [_bits(r) for r in got] == [_bits(r) for r in integrate_many(_as_lambdas(jobs))]
+        assert got[0] == pytest.approx(float(mp.quad(lambda x: 12 * x * (1 - x) ** 2 * mp.e**x, [0, 1])), rel=1e-9)
+
+    def test_non_finite_factor(self):
+        # one factor shared by three jobs gives NaN at 0.5, a node of the
+        # second job's opening panel only: the list ends at that job with
+        # the message it gives alone
+        nan_at_half = lambda xs: np.where(xs == 0.5, np.nan, 1.0 + xs)
+        beta = ScaledBeta(0.0, 1.0, alpha=2.0, beta=3.0)
+        jobs = [
+            (Product(beta.density, nan_at_half), 0.0, 0.4, ()),
+            (Product(nan_at_half, beta.value), 0.0, 1.0, ()),
+            (Product(beta.density, nan_at_half), 0.6, 1.0, ()),
+        ]
+        got = integrate_many(jobs)
+        assert len(got) == 2
+        assert _bits(got[1]) == ["QuadratureError", "integrand returned a non-finite value at x=0.5"]
+        assert [_bits(r) for r in got] == [_bits(r) for r in integrate_many(_as_lambdas(jobs))]
+
+    def test_product_is_its_factors_multiplied_in_order(self):
+        f = Product(np.exp, np.sin, np.sqrt)
+        xs = np.linspace(0.0, 2.0, 31)
+        assert f(xs).tobytes() == (np.exp(xs) * np.sin(xs) * np.sqrt(xs)).tobytes()
+        assert f(0.7) == math.exp(0.7) * math.sin(0.7) * math.sqrt(0.7)
+        with pytest.raises(TypeError):
+            Product()
 
 
 if __name__ == "__main__":
