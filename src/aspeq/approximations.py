@@ -188,14 +188,13 @@ def ae_cumulant_series(
         )
     lam = F.gamma
     lo, hi = F.lo, F.hi
-    knots = merge_knots(U.kinks(), U.sample_hints(), F.sample_hints())
+    # an exponential lottery has no kinks: F.cuts are its sample hints
+    knots = merge_knots(U.cuts, F.cuts)
     expectation = integrate(
         lambda x: U.density(x) * np.exp(-lam * (x - lo)), lo, hi, spec, knots
     )
     closed = lo - math.log(expectation) / lam
-    kappa = cumulants(
-        U.density, lo, hi, terms, spec, merge_knots(U.kinks(), U.sample_hints())
-    )
+    kappa = cumulants(U.density, lo, hi, terms, spec, U.cuts)
     shifted = (kappa[0] - lo,) + kappa[1:]
     series_terms = tuple(
         (-1.0) ** (k + 1) * lam ** (k - 1) * shifted[k - 1] / math.factorial(k)

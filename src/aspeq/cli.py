@@ -6,10 +6,11 @@ the same results as CSV (--csv) and JSON (--json). Output is
 deterministic byte for byte: floats are always formatted with 9
 significant digits and iteration order follows the scenario file.
 
-Scenarios may carry a "published" list of reference values; after the
-computation the matching block compares each one against the computed
-quantity under its key and prints OK, DIFFERS (with a warning line), or
-a plain report when no tolerance is given.
+Scenarios may carry a "published" list of reference values, checked
+when the scenario is parsed; after the computation the matching block
+compares each one against the computed quantity under its key and prints
+OK, DIFFERS (with a warning line), or a plain report when no tolerance
+is given.
 
 Exit codes: 0 success, 2 bad input (file, schema, flag values), 3
 numeric failure inside the computation.
@@ -41,7 +42,7 @@ from .dominance import (
     first_order_dominates,
     second_order_dominates,
 )
-from .duality import aspiration_equivalent, effective_gamma, equivalents, exponential_or_linear
+from .duality import aspiration_equivalent, effective_gamma, evaluate_pairs, exponential_or_linear
 from .numerics import NumericsError, QuadratureSpec
 from .scenarios import Scenario, ScenarioError, _number, load_scenario
 from .selection import EvalMatrix, allocate_eu_matrix, allocation_sums, evaluate_matrix, find_pure_saddle
@@ -106,23 +107,13 @@ class _Out:
 
 
 def _published_block(scenario: Scenario, out: _Out) -> None:
-    entries = scenario.params.get("published")
-    if not entries:
+    if not scenario.published:
         return
-    if not isinstance(entries, list):
-        raise ScenarioError("published: expected a list")
     out.line()
     out.line("published comparison:")
     comparisons: list[dict[str, Any]] = []
     skipped = 0
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "key" not in entry or "value" not in entry:
-            raise ScenarioError(f"published[{i}]: expected an object with key and value")
-        key = entry["key"]
-        value = _number(entry["value"], f"published[{i}].value")
-        tolerance = entry.get("tolerance")
-        if tolerance is not None:
-            tolerance = _number(tolerance, f"published[{i}].tolerance")
+    for key, value, tolerance in scenario.published:
         if key not in out.computed:
             skipped += 1
             continue
@@ -273,7 +264,8 @@ def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> _Out:
     out = _Out()
     out.table_row("gamma", "certain_equivalent", "aspiration_equivalent")
     rows = []
-    for g, (ce, ae) in zip(grid, equivalents(pairs, spec)):
+    for g, r in zip(grid, evaluate_pairs(pairs, spec)):
+        ce, ae = r.certain_equivalent, r.aspiration_equivalent
         out.table_row(g, ce, ae)
         rows.append({"gamma": g, "certain_equivalent": ce, "aspiration_equivalent": ae})
     if refused is not None:

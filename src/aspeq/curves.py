@@ -117,6 +117,12 @@ class Curve:
         nonsmoothness meaning."""
         return ()
 
+    @functools.cached_property
+    def cuts(self) -> tuple[float, ...]:
+        """Where quadrature over this curve cuts its opening panels: the
+        kinks and sample hints, merged once per curve."""
+        return merge_knots(self.kinks(), self.sample_hints())
+
     def tolerance_at(self, x: float) -> float | None:
         """-C'(x)/C''(x) in closed form, or None where only finite
         differences give it. Read on a utility this is the risk tolerance
@@ -167,8 +173,7 @@ class Curve:
                 f"{self.kind} density is unbounded at an endpoint; moments by "
                 "quadrature are not supported"
             )
-        knots = merge_knots(self.kinks(), self.sample_hints())
-        k1, k2 = cumulants(self.density, self.lo, self.hi, 2, spec, knots)
+        k1, k2 = cumulants(self.density, self.lo, self.hi, 2, spec, self.cuts)
         return k1, k2
 
 

@@ -7,7 +7,8 @@ delegate maximizing the probability of beating per-lottery aspiration
 targets picks exactly the lottery the principal would pick by expected
 utility. Fractile targets ignore the principal's preferences entirely,
 and certain-equivalent targets can misrank; desiderata_report puts the
-three rules side by side on a concrete lottery set.
+three rules side by side on a concrete lottery set. Each of these reads
+all its lotteries' integrals from one lockstep batch.
 
 update_target handles the forecast-revision problem: when the lottery
 changes, keep the delegate's effective curvature fixed and move the
@@ -21,11 +22,13 @@ from dataclasses import dataclass
 from .curves import Curve
 from .duality import (
     DomainMismatchError,
+    _aspiration_from,
+    _pair_values,
+    _through_first,
     aspiration_equivalent,
     effective_gamma,
-    evaluate_pair,
+    evaluate_pairs,
     exceedance_probability,
-    expected_utility,
     exponential_or_linear,
 )
 from .numerics import QuadratureSpec
@@ -84,7 +87,7 @@ def choose_by_eu(
     """Index of the lottery with the highest expected utility."""
     if not lotteries:
         raise ValueError("need at least one lottery")
-    return _argmax([expected_utility(f, utility, spec) for f in lotteries])
+    return _argmax(list(_pair_values([(f, utility, "eu") for f in lotteries], spec)))
 
 
 def choose_by_aspiration(
@@ -99,7 +102,10 @@ def choose_by_aspiration(
     """
     if not lotteries:
         raise ValueError("need at least one lottery")
-    targets = [aspiration_equivalent(f, utility, spec) for f in lotteries]
+    # a step lottery's aspiration equivalent raises: no EDU after it is read
+    jobs = [(f, utility, "edu") for f in _through_first(lotteries, lambda f: f.is_step)]
+    edus = _pair_values(jobs, spec)
+    targets = [_aspiration_from(f, next(edus), spec) for f in lotteries]
     exceed = [exceedance_probability(f, t) for f, t in zip(lotteries, targets)]
     return AspirationChoice(
         index=_argmax(exceed), targets=tuple(targets), exceedance=tuple(exceed)
@@ -153,14 +159,14 @@ def desiderata_report(
     every lottery, so it cannot separate them at all; the certain
     equivalent can order lotteries differently from expected utility; the
     aspiration equivalent agrees with the principal by construction.
-    Each lottery is evaluated once; the principal's EU and the two
-    equivalent rules all read that one result.
+    All the lotteries are evaluated in one batch (evaluate_pairs); the
+    principal's EU and the two equivalent rules all read that one result.
     """
     if len(lotteries) < 2:
         raise ValueError("need at least two lotteries to compare target rules")
     if not 0.0 < fractile < 1.0:
         raise ValueError(f"fractile must be inside (0, 1), got {fractile!r}")
-    pairs = [evaluate_pair(f, utility, spec) for f in lotteries]
+    pairs = list(evaluate_pairs([(f, utility) for f in lotteries], spec))
     principal = _argmax([r.expected_utility for r in pairs])
 
     def outcome(rule: str, targets: list[float]) -> RuleOutcome:

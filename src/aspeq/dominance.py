@@ -25,9 +25,9 @@ from .curves import Curve, StepFunctionError
 from .duality import (
     DomainMismatchError,
     _aspiration_from,
-    evaluate_pair,
-    expected_disutility,
-    expected_utility,
+    _pair_values,
+    _through_first,
+    evaluate_pairs,
     exponential_or_linear,
 )
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate, merge_knots
@@ -142,18 +142,20 @@ def dominance_implications(
             f"(max violation {verdict.max_violation!r}); the implications "
             "are only claimed under dominance"
         )
+    # not evaluate_pairs: a step utility has an EU and EDU but no CE; a
+    # step lottery has no AE, so no job after its own is read
+    jobs = [
+        (f, utility, role)
+        for f in _through_first(test_lotteries, lambda f: f.is_step)
+        for utility, role in ((A, "edu"), (B, "edu"), (B, "eu"), (A, "eu"))
+    ]
+    values = _pair_values(jobs, spec)
     margins = []
     for f in test_lotteries:
-        # not evaluate_pair: a step utility has an EU and EDU but no CE
-        edu_a = expected_disutility(f, A, spec)
-        edu_b = expected_disutility(f, B, spec)
-        margins.append(
-            LotteryMargins(
-                edu_margin=edu_a - edu_b,
-                ae_margin=_aspiration_from(f, edu_a, spec) - _aspiration_from(f, edu_b, spec),
-                eu_margin=expected_utility(f, B, spec) - expected_utility(f, A, spec),
-            )
-        )
+        edu_a, edu_b = next(values), next(values)
+        ae_margin = _aspiration_from(f, edu_a, spec) - _aspiration_from(f, edu_b, spec)
+        eu_b = next(values)
+        margins.append(LotteryMargins(edu_a - edu_b, ae_margin, eu_b - next(values)))
     mean_a, _ = A.density_moments(spec)
     mean_b, _ = B.density_moments(spec)
     tol = 2.0 * (spec or DEFAULT_QUADRATURE).relative_tolerance
@@ -185,7 +187,7 @@ def exponential_chain(
     B = exponential_or_linear(F.lo, F.hi, gamma_b)
     xs = _grid(A, B, grid_points)
     pointwise = float((B.value(xs) - A.value(xs)).min())
-    a, b = evaluate_pair(F, A, spec), evaluate_pair(F, B, spec)
+    a, b = evaluate_pairs([(F, A), (F, B)], spec)
     return ChainReport(
         gamma_a=gamma_a,
         gamma_b=gamma_b,
@@ -231,6 +233,4 @@ def first_moment_by_equal_areas(
             "a step utility concentrates its mass at the threshold; there "
             "is nothing to integrate"
         )
-    return U.hi - integrate(
-        U.value, U.lo, U.hi, spec, merge_knots(U.kinks(), U.sample_hints())
-    )
+    return U.hi - integrate(U.value, U.lo, U.hi, spec, U.cuts)

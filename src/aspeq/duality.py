@@ -19,17 +19,18 @@ probability of exceeding the aspiration equivalent, 1 - F(AE), equals EU.
 Maximizing exceedance over lotteries is therefore the same decision as
 maximizing expected utility; delegation builds on exactly that.
 
-Many pairs at once (a matrix, a gamma grid) go through one lockstep batch
-of quadratures; each value, and the first error, is what the pairs give
-one at a time, and no pair after the first failing one is integrated.
+Every EU and EDU, one or many, reaches the quadrature the same way: as a
+(lottery, utility, role) job in one lockstep batch (_pair_values). Each
+value, and the first error, is what the jobs give one at a time, and no
+job after the first failing one is integrated; a one-pair function is a
+batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .curves import (
     Curve,
@@ -44,7 +45,6 @@ from .numerics import (
     QuadratureSpec,
     RootBracket,
     find_root,
-    integrate,
     integrate_many,
     merge_knots,
 )
@@ -114,58 +114,40 @@ def _pair_job(lottery: Curve, utility: Curve, role: str) -> float | tuple:
             "is not integrated directly; the role-swapped integral (expected_utility "
             "<-> expected_disutility) integrates its bounded CDF instead."
         )
-    knots = merge_knots(
-        weight.kinks(), curve.kinks(), weight.sample_hints(), curve.sample_hints()
-    )
+    knots = merge_knots(weight.cuts, curve.cuts)
     return (Product(weight.density, curve.value), weight.lo, weight.hi, knots)
 
 
-def _pair_integral(
-    lottery: Curve, utility: Curve, spec: QuadratureSpec | None, role: str
-) -> float:
-    job = _pair_job(lottery, utility, role)
-    if not isinstance(job, tuple):
-        return job
-    f, lo, hi, knots = job
-    return integrate(f, lo, hi, spec, knots)
-
-
-def _pair_outcomes(
-    pairs: Sequence[tuple[Curve, Curve]], spec: QuadratureSpec | None
-) -> list:
-    """Each (lottery, utility) pair's expected_utility and
-    expected_disutility, flat in pair order, each as a value or as the
-    exception that function raises for it. The list ends at the first
-    pair sure to fail, as a loop over the pairs would: at an exception,
-    or after a pair with a step curve, which has no certain or aspiration
-    equivalent. All the quadratures run in one integrate_many batch."""
-    outcomes: list = []
-    jobs, slots = [], []
-    for (lottery, utility), role in product(pairs, ("eu", "edu")):
+def _pair_values(
+    jobs: Iterable[tuple[Curve, Curve, str]], spec: QuadratureSpec | None
+) -> Iterator[float]:
+    """expected_utility (role "eu") or expected_disutility ("edu") of
+    each (lottery, utility, role) job, in turn, raising at the first
+    failing job what that function raises for it. Every quadrature runs
+    in one integrate_many batch before the first value is yielded; a
+    refusal ends the batch, as a loop never reaches the jobs after it."""
+    prepared, refused = [], None
+    for lottery, utility, role in jobs:
         try:
-            outcome = _pair_job(lottery, utility, role)
-        except Exception as exc:  # raised when its pair is read
-            outcome = exc
-        if isinstance(outcome, tuple):
-            jobs.append(outcome)
-            slots.append(len(outcomes))
-        outcomes.append(outcome)
-        if isinstance(outcome, Exception) or (
-            role == "edu" and (lottery.is_step or utility.is_step)
-        ):
+            prepared.append(_pair_job(lottery, utility, role))
+        except Exception as exc:  # raised when its job is read
+            refused = exc
             break
-    values = integrate_many(jobs, spec)
-    for k, value in zip(slots, values):
-        outcomes[k] = value
-    if len(values) < len(jobs):  # a quadrature failed; nothing after it is read
-        del outcomes[slots[len(values) - 1] + 1 :]
-    return outcomes
+    values = iter(integrate_many([job for job in prepared if isinstance(job, tuple)], spec))
+    for job in prepared:
+        value = next(values) if isinstance(job, tuple) else job
+        if isinstance(value, Exception):
+            raise value
+        yield value
+    if refused is not None:
+        raise refused
 
 
-def _settled(outcome):
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+def _through_first(items: Sequence, refused: Callable) -> Sequence:
+    """items up to the first one that refused() says its reader raises
+    at, that one included: all a loop over them integrates."""
+    stop = next((k for k, item in enumerate(items) if refused(item)), len(items))
+    return items[: stop + 1]
 
 
 def _invert(curve: Curve, p: float, spec: QuadratureSpec | None) -> float:
@@ -206,7 +188,7 @@ def expected_utility(
 ) -> float:
     """Integral of lottery density times utility value. A step lottery at
     t gives U(t); a step utility at t gives 1 - F(t)."""
-    return _pair_integral(lottery, utility, spec, "eu")
+    return next(_pair_values([(lottery, utility, "eu")], spec))
 
 
 def expected_disutility(
@@ -214,7 +196,7 @@ def expected_disutility(
 ) -> float:
     """Integral of utility density times lottery value: expected_utility
     with the two roles swapped, integrated on its own."""
-    return _pair_integral(lottery, utility, spec, "edu")
+    return next(_pair_values([(lottery, utility, "edu")], spec))
 
 
 def certain_equivalent(
@@ -237,17 +219,6 @@ def exceedance_probability(lottery: Curve, x: float) -> float:
     return 1.0 - lottery.value(x)
 
 
-def _result(
-    lottery: Curve, utility: Curve, eu: float, edu: float, spec: QuadratureSpec | None
-) -> DualityResult:
-    return DualityResult(
-        expected_utility=eu,
-        expected_disutility=edu,
-        certain_equivalent=_certain_from(utility, eu, spec),
-        aspiration_equivalent=_aspiration_from(lottery, edu, spec),
-    )
-
-
 def evaluate_pair(
     lottery: Curve, utility: Curve, spec: QuadratureSpec | None = None
 ) -> DualityResult:
@@ -255,37 +226,28 @@ def evaluate_pair(
     integrated independently of EU, so the sum-to-one identity stays an
     observable check on the result. A step curve has no certain or
     aspiration equivalent, so either step is refused."""
-    eu = expected_utility(lottery, utility, spec)
-    edu = expected_disutility(lottery, utility, spec)
-    return _result(lottery, utility, eu, edu, spec)
+    return next(evaluate_pairs([(lottery, utility)], spec))
 
 
 def evaluate_pairs(
     pairs: Sequence[tuple[Curve, Curve]], spec: QuadratureSpec | None = None
 ) -> Iterator[DualityResult]:
-    """evaluate_pair of each (lottery, utility) pair, in turn.
+    """evaluate_pair of each (lottery, utility) pair, in turn: its EU,
+    EDU, certain and aspiration equivalent, the first error raised where
+    the pair-by-pair loop raises it.
 
     Every pair's EU and EDU are integrated in one lockstep batch before
-    the first result is yielded, up to the first pair that fails. Each
-    result, and the exception raised at that pair, is what evaluate_pair
-    gives."""
-    outcomes = iter(_pair_outcomes(pairs, spec))
+    the first result is yielded, up to the first pair sure to fail. A
+    pair with a step curve has no equivalents, so the batch ends there."""
+    jobs = [
+        (f, u, role)
+        for f, u in _through_first(pairs, lambda pair: pair[0].is_step or pair[1].is_step)
+        for role in ("eu", "edu")
+    ]
+    values = _pair_values(jobs, spec)
     for f, u in pairs:
-        eu = _settled(next(outcomes))
-        yield _result(f, u, eu, _settled(next(outcomes)), spec)
-
-
-def equivalents(
-    pairs: Sequence[tuple[Curve, Curve]], spec: QuadratureSpec | None = None
-) -> Iterator[tuple[float, float]]:
-    """(certain_equivalent, aspiration_equivalent) of each (lottery,
-    utility) pair, in turn, from one lockstep batch of their EU and EDU
-    integrals. A pair fails as certain_equivalent then
-    aspiration_equivalent would."""
-    outcomes = iter(_pair_outcomes(pairs, spec))
-    for f, u in pairs:
-        ce = _certain_from(u, _settled(next(outcomes)), spec)
-        yield ce, _aspiration_from(f, _settled(next(outcomes)), spec)
+        eu, edu = next(values), next(values)
+        yield DualityResult(eu, edu, _certain_from(u, eu, spec), _aspiration_from(f, edu, spec))
 
 
 def effective_gamma(

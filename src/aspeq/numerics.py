@@ -576,21 +576,26 @@ def cumulants(
 ) -> tuple[float, ...]:
     """First `order` cumulants of the distribution with the given density.
 
-    Raw moments come from quadrature; cumulants follow from the standard
-    recursion. The density must integrate to 1 within 1e-6 or the call
-    refuses (NormalizationError), since a mass error contaminates every
-    cumulant. order is capped at 8: beyond that the moment integrals lose
-    too many digits to cancellation for the recursion to be trustworthy.
+    The mass and the raw moments are one integrate_many batch, sharing
+    the density's calls; cumulants follow from the standard recursion.
+    The density must integrate to 1 within 1e-6 or the call refuses
+    (NormalizationError, raised after the mass's own error and before any
+    moment's), since a mass error contaminates every cumulant. order is
+    capped at 8: beyond that the moment integrals lose too many digits to
+    cancellation for the recursion to be trustworthy.
     """
     if not 1 <= order <= 8:
         raise ValueError("order must be between 1 and 8")
-    mass = integrate(density, lo, hi, spec, knots)
+    knots = tuple(knots)
+    powers = [Product(lambda x, n=n: x**n, density) for n in range(1, order + 1)]
+    mass, *moments = integrate_many([(f, lo, hi, knots) for f in [density, *powers]], spec)
+    if isinstance(mass, Exception):
+        raise mass
     if abs(mass - 1.0) > 1e-6:
         raise NormalizationError(f"density mass {mass!r} differs from 1 by more than 1e-6")
-
-    moments = [1.0]
-    for n in range(1, order + 1):
-        moments.append(integrate(lambda x, n=n: x**n * density(x), lo, hi, spec, knots))
+    if isinstance(moments[-1], Exception):  # the list ends at the first failure
+        raise moments[-1]
+    moments = [1.0, *moments]
 
     kappa: list[float] = []
     for n in range(1, order + 1):

@@ -18,7 +18,8 @@ Any other key on a curve entry (besides name/kind/role_hint) is rejected,
 as is any malformed or non-finite value; errors carry the JSON path of
 the offending field. An optional "published" list of {"key", "value",
 "tolerance"} entries rides along for the comparison block in CLI output:
-key names a computed quantity (e.g. "eu:f1:u1"), tolerance is optional.
+key is a string naming a computed quantity (e.g. "eu:f1:u1"), tolerance
+is optional. The entries are checked here, before anything is computed.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ class Scenario:
     lotteries: tuple[NamedCurve, ...]
     utilities: tuple[NamedCurve, ...]
     params: dict[str, Any] = field(default_factory=dict)
+    published: tuple[tuple[str, float, float | None], ...] = ()  # (key, value, tolerance)
 
     def lottery(self, name: str) -> Curve:
         return _by_name(self.lotteries, name, "lotteries")
@@ -152,6 +154,25 @@ def _parse_curve_list(
     return entries
 
 
+def _parse_published(obj: Any) -> tuple[tuple[str, float, float | None], ...]:
+    if not obj:
+        return ()
+    if not isinstance(obj, list):
+        raise ScenarioError("published: expected a list")
+    entries = []
+    for i, entry in enumerate(obj):
+        if not isinstance(entry, dict) or "key" not in entry or "value" not in entry:
+            raise ScenarioError(f"published[{i}]: expected an object with key and value")
+        if not isinstance(entry["key"], str):
+            raise ScenarioError(f"published[{i}].key: expected a string")
+        value = _number(entry["value"], f"published[{i}].value")
+        tolerance = entry.get("tolerance")
+        if tolerance is not None:
+            tolerance = _number(tolerance, f"published[{i}].tolerance")
+        entries.append((entry["key"], value, tolerance))
+    return tuple(entries)
+
+
 def parse_scenario(obj: Any) -> Scenario:
     if not isinstance(obj, dict):
         raise ScenarioError("scenario root: expected an object")
@@ -173,7 +194,8 @@ def parse_scenario(obj: Any) -> Scenario:
         if k not in ("domain", "lotteries", "utilities")
     }
     return Scenario(
-        lo=lo, hi=hi, unit=unit, lotteries=lotteries, utilities=utilities, params=params
+        lo=lo, hi=hi, unit=unit, lotteries=lotteries, utilities=utilities, params=params,
+        published=_parse_published(obj.get("published")),
     )
 
 

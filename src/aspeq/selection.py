@@ -7,7 +7,8 @@ EU matrix, the lottery side picks rows to raise EU and the utility side
 picks columns to lower it; a pure saddle is a cell that is at once a
 column maximum and a row minimum. A cell's EU and EDU are duality's one
 pair integral with the roles swapped, each integrated once per cell, and
-all of a matrix's integrals are refined together in one lockstep batch.
+all of a matrix's integrals are refined together in one lockstep batch;
+so are saddle_allocate's EU matrix and dual_select's EUs and EDUs.
 
 Allocation runs on an EU matrix: allocate_eu_matrix matches N lotteries
 to N utilities by repeatedly pairing the current saddle cell and
@@ -24,9 +25,9 @@ from .curves import Curve
 from .duality import (
     DomainMismatchError,
     DualityResult,
-    aspiration_equivalent,
+    _aspiration_from,
+    _pair_values,
     evaluate_pairs,
-    expected_utility,
 )
 from .numerics import QuadratureSpec
 
@@ -93,8 +94,9 @@ def dual_select(
     ranking them through F's quantile cannot disagree."""
     if not utilities:
         raise ValueError("need at least one utility")
-    eus = [expected_utility(lottery, u, spec) for u in utilities]
-    aes = [aspiration_equivalent(lottery, u, spec) for u in utilities]
+    values = _pair_values([(lottery, u, role) for role in ("eu", "edu") for u in utilities], spec)
+    eus = [next(values) for u in utilities]
+    aes = [_aspiration_from(lottery, next(values), spec) for u in utilities]
     by_eu = 0
     for j, v in enumerate(eus):
         if v < eus[by_eu]:
@@ -179,8 +181,10 @@ def saddle_allocate(
     utilities: list[Curve],
     spec: QuadratureSpec | None = None,
 ) -> Allocation:
-    """allocate_eu_matrix on the EU matrix of lotteries x utilities."""
-    eu = [[expected_utility(f, u, spec) for u in utilities] for f in lotteries]
+    """allocate_eu_matrix on the EU matrix of lotteries x utilities,
+    integrated in one batch."""
+    values = _pair_values([(f, u, "eu") for f in lotteries for u in utilities], spec)
+    eu = [[next(values) for u in utilities] for f in lotteries]
     return allocate_eu_matrix(eu)
 
 

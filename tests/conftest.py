@@ -55,6 +55,30 @@ def catalog():
     return smooth_lotteries(), smooth_utilities()
 
 
+@pytest.fixture
+def quadrature_batches(monkeypatch):
+    """Every integrate_many call the test makes, as (module, job count)
+    in call order: the module is the namespace the call went through,
+    "duality" for pair integrals, "numerics" for integrate and cumulants.
+    len() counts the batches; summing the counts gives the jobs."""
+    import aspeq.numerics
+
+    integrate_many = aspeq.numerics.integrate_many
+    batches = []
+
+    def through(module):
+        def counting(jobs, *args, **kwargs):
+            batches.append((module.__name__.rsplit(".", 1)[1], len(jobs)))
+            return integrate_many(jobs, *args, **kwargs)
+
+        return counting
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("aspeq.") and getattr(module, "integrate_many", None) is integrate_many:
+            monkeypatch.setattr(module, "integrate_many", through(module))
+    return batches
+
+
 @pytest.fixture(autouse=True)
 def oracle_precision():
     """Hold the mpmath oracles at 30 digits in every test, whatever another

@@ -434,6 +434,16 @@ class TestNumberValidation:
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_published_key_must_be_a_string(self, tmp_path, capsys):
+        obj = json.loads((FIXTURES / "paper_sec4.json").read_text(encoding="utf-8"))
+        obj["published"] = [{"key": ["eu"], "value": 0.5}]
+        self.rejected(tmp_path, capsys, "solve-gamma", obj, "published[0].key")
+
+    def test_published_checked_before_computing(self, tmp_path, capsys, quadrature_batches):
+        entry = {"key": "eu:beta23:exp2", "value": 0.5, "tolerance": "wide"}
+        self.rejected(tmp_path, capsys, "matrix", dict(BASIC, published=[entry]), "published[0].tolerance")
+        assert quadrature_batches == []
+
     def test_published_value_checked_when_skipped(self, tmp_path, capsys):
         # an entry this command does not produce is still validated
         obj = dict(BASIC, published=[{"key": "no_such_key", "value": True}])
@@ -442,8 +452,8 @@ class TestNumberValidation:
 
 class TestIntegralsPerCommand:
     """Each (lottery, utility) pair is integrated once per command: one EU
-    and one EDU at most, counted at the pair integral's quadrature call
-    and at each job handed to the lockstep batch."""
+    and one EDU at most, counted at each pair job handed to the lockstep
+    batch. Each library call that reads several pairs is one batch."""
 
     @pytest.mark.parametrize(
         "command,fixture,integrals",
@@ -458,25 +468,29 @@ class TestIntegralsPerCommand:
             ("solve-gamma", "paper_sec4", 11),
         ],
     )
-    def test_integral_count(self, monkeypatch, command, fixture, integrals):
-        import aspeq.duality as duality
-
-        calls = []
-        integrate, integrate_many = duality.integrate, duality.integrate_many
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return integrate(*args, **kwargs)
-
-        def counting_many(jobs, *args, **kwargs):
-            calls.extend(jobs)
-            return integrate_many(jobs, *args, **kwargs)
-
-        monkeypatch.setattr(duality, "integrate", counting)
-        monkeypatch.setattr(duality, "integrate_many", counting_many)
+    def test_integral_count(self, quadrature_batches, command, fixture, integrals):
         code, _ = run(command, "--scenario", str(FIXTURES / f"{fixture}.json"))
         assert code == 0
-        assert len(calls) == integrals
+        assert sum(n for module, n in quadrature_batches if module == "duality") == integrals
+
+    @pytest.mark.parametrize(
+        "command,fixture,batches,jobs",
+        [
+            # desiderata_report: every lottery's EU and EDU
+            ("delegate", "table2", 1, 6),
+            # the implications' pairs, A's and B's density moments, then
+            # one exponential chain per lottery (1 in table1, 3 in table2)
+            ("dominance", "table1", 4, 14),
+            ("dominance", "table2", 6, 30),
+            # 9 pairs x (exact CE, exact AE), and 6 curves' moments
+            ("approx", "table2", 24, 36),
+        ],
+    )
+    def test_batch_count(self, quadrature_batches, command, fixture, batches, jobs):
+        code, _ = run(command, "--scenario", str(FIXTURES / f"{fixture}.json"))
+        assert code == 0
+        assert len(quadrature_batches) == batches
+        assert sum(n for _, n in quadrature_batches) == jobs
 
 
 class TestIntegrandsAreBatched:

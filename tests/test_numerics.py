@@ -194,6 +194,64 @@ class TestCumulants:
             assert got == pytest.approx(float(ref), abs=1e-8)
 
 
+def _cumulants_by_loop(density, lo, hi, order, spec=None, knots=()):
+    """cumulants as one integrate call per moment."""
+    mass = integrate(density, lo, hi, spec, knots)
+    if abs(mass - 1.0) > 1e-6:
+        raise NormalizationError(f"density mass {mass!r} differs from 1 by more than 1e-6")
+    moments = [1.0]
+    for n in range(1, order + 1):
+        moments.append(integrate(lambda x, n=n: x**n * density(x), lo, hi, spec, knots))
+    kappa = []
+    for n in range(1, order + 1):
+        acc = moments[n]
+        for j in range(1, n):
+            acc -= math.comb(n - 1, j - 1) * kappa[j - 1] * moments[n - j]
+        kappa.append(acc)
+    return tuple(kappa)
+
+
+def _raised(fn, *args):
+    try:
+        return [v.hex() for v in fn(*args)]
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+
+
+class TestCumulantsBatch:
+    """The mass and the moments are one batch, each with the bits, and
+    the first error, of one integrate call per moment."""
+
+    @pytest.mark.parametrize("spec", [None, QuadratureSpec(relative_tolerance=1e-3)])
+    def test_bits_of_the_loop(self, catalog, spec):
+        for curve in catalog[0] + catalog[1]:
+            args = (curve.density, curve.lo, curve.hi, 8, spec, curve.cuts)
+            assert _raised(cumulants, *args) == _raised(_cumulants_by_loop, *args), curve
+
+    def test_one_batch(self, quadrature_batches):
+        curve = ScaledBeta(0.0, 1.0, alpha=2.0, beta=3.0)
+        curve.density_moments()
+        cumulants(curve.density, 0.0, 1.0, 6)
+        assert quadrature_batches == [("numerics", 3), ("numerics", 7)]
+
+    @pytest.mark.parametrize(
+        "density,lo,hi,error",
+        [
+            # the mass fails first, though every moment fails too
+            (lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0, QuadratureError),
+            # x**4 overflows: the fourth moment is the first to fail
+            (lambda x: np.full_like(x, 1e-100), 1e100, 2e100, QuadratureError),
+            # an unnormalized density is refused before that moment fails
+            (lambda x: np.full_like(x, 2e-100), 1e100, 2e100, NormalizationError),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_first_error_of_the_loop(self, density, lo, hi, error):
+        want = _raised(_cumulants_by_loop, density, lo, hi, 6)
+        assert want[0] is error
+        assert _raised(cumulants, density, lo, hi, 6) == want
+
+
 def test_merge_knots():
     assert merge_knots((0.5,), (0.25, 0.5), ()) == (0.25, 0.5)
     assert merge_knots() == ()

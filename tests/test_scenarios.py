@@ -181,6 +181,30 @@ class TestSchemaErrors:
             sc.lottery("missing")
 
 
+class TestPublished:
+    def test_parsed_entries(self):
+        entries = [{"key": "eu:u:lin", "value": 1, "tolerance": 0.01}, {"key": "ce:u:lin", "value": 0.5}]
+        sc = parse_scenario(minimal(published=entries))
+        assert sc.published == (("eu:u:lin", 1.0, 0.01), ("ce:u:lin", 0.5, None))
+        assert parse_scenario(minimal()).published == ()
+
+    @pytest.mark.parametrize(
+        "published,path",
+        [
+            ("eu", "published"),
+            ([["eu", 0.5]], r"published\[0\]"),
+            ([{"key": "eu"}], r"published\[0\]"),
+            ([{"key": 3, "value": 0.5}], r"published\[0\].key"),
+            ([{"key": "eu", "value": "0.5"}], r"published\[0\].value"),
+            ([{"key": "eu", "value": 0.5}, {"key": "ce", "value": 0.5, "tolerance": [1]}],
+             r"published\[1\].tolerance"),
+        ],
+    )
+    def test_bad_entries_tag_path(self, published, path):
+        with pytest.raises(ScenarioError, match=f"^{path}:"):
+            parse_scenario(minimal(published=published))
+
+
 class TestLoadScenario:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="cannot read"):

@@ -114,27 +114,15 @@ class TestMatrixAgainstCellLoop:
             ([LOTS[0], SINGULAR], [UTS[0], ELSEWHERE], "DomainMismatchError"),
         ],
     )
-    def test_first_failing_cell(self, monkeypatch, lotteries, utilities, error):
-        import aspeq.duality as duality
-
-        jobs = []
-        integrate, integrate_many = duality.integrate, duality.integrate_many
-
-        def counting(*args, **kwargs):
-            jobs.append("loop")
-            return integrate(*args, **kwargs)
-
-        def counting_many(batch, *args, **kwargs):
-            jobs.extend("batch" for _ in batch)
-            return integrate_many(batch, *args, **kwargs)
-
-        monkeypatch.setattr(duality, "integrate", counting)
-        monkeypatch.setattr(duality, "integrate_many", counting_many)
+    def test_first_failing_cell(self, quadrature_batches, lotteries, utilities, error):
         want = _reference_matrix(lotteries, utilities)
         assert want[0].__name__ == error
+        loop = sum(n for _, n in quadrature_batches)
+        quadrature_batches.clear()
         assert _batched_matrix(lotteries, utilities) == want
         # no cell after the failing one is handed to the batch
-        assert jobs.count("batch") == jobs.count("loop")
+        assert len(quadrature_batches) == 1
+        assert quadrature_batches[0][1] == loop
 
     def test_first_quadrature_failure(self):
         # at depth 2, cells (1, 1), (1, 2) and (2, 2) exhaust it
