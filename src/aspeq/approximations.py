@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -105,12 +106,14 @@ def ce_taylor2(
     U: Curve,
     spec: QuadratureSpec | None = None,
     moments: tuple[float, float] | None = None,
+    exact: Callable[[], float] | None = None,
 ) -> ApproxReport:
     """Certain equivalent to second order: lottery mean minus half its
     variance over the utility's tolerance at the mean. moments, when
     given, is F.density_moments(spec), computed once for a lottery met
-    again. ae_taylor2 calls this with the roles swapped, so no message
-    here names a role."""
+    again; exact, when given, is called in place of certain_equivalent
+    to read a batch of pairs' integrals. ae_taylor2 calls this with the
+    roles swapped, so no message here names a role."""
     mean, var = moments or F.density_moments(spec)
     try:
         rt = risk_tolerance(U, mean)
@@ -134,9 +137,8 @@ def ce_taylor2(
             f"{F.kind} density is unbounded at an endpoint; the exact "
             "equivalent would integrate it"
         )
-    exact = certain_equivalent(F, U, spec)
     return ApproxReport(
-        exact=exact,
+        exact=exact() if exact else certain_equivalent(F, U, spec),
         approx=approx,
         first_moment=mean,
         central_second_moment=var,
@@ -151,12 +153,13 @@ def ae_taylor2(
     U: Curve,
     spec: QuadratureSpec | None = None,
     moments: tuple[float, float] | None = None,
+    exact: Callable[[], float] | None = None,
 ) -> ApproxReport:
     """Aspiration equivalent to second order: utility-density mean minus
     half its variance over the lottery's spread tolerance at that mean.
     This is ce_taylor2 with the roles swapped, as AE(F, U) = CE(U, F).
-    moments, when given, is U.density_moments(spec)."""
-    return ce_taylor2(U, F, spec, moments)
+    moments and exact, when given, stand for U's moments and the AE."""
+    return ce_taylor2(U, F, spec, moments, exact)
 
 
 def ae_cumulant_series(

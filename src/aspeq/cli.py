@@ -42,6 +42,7 @@ from .dominance import (
     first_order_dominates,
     second_order_dominates,
 )
+from .duality import _certain_from, _pair_values
 from .duality import aspiration_equivalent, effective_gamma, evaluate_pairs, exponential_or_linear
 from .numerics import NumericsError, QuadratureSpec
 from .scenarios import Scenario, ScenarioError, _number, load_scenario
@@ -489,50 +490,52 @@ def _cmd_approx(scenario: Scenario, args: argparse.Namespace) -> _Out:
     # each curve's moments once, at its first pair, where a refusal
     # would first be raised anyway
     moments_of = cache(lambda curve: curve.density_moments(spec))
+    pairs = [(f, u) for f in scenario.lotteries for u in scenario.utilities]
+    # every pair's exact CE and AE in one batch, each read where ce_taylor2 or ae_taylor2 integrates it
+    integrals = _pair_values([(f.curve, u.curve, role) for f, u in pairs for role in ("eu", "edu")], spec)
 
-    for fn_named in scenario.lotteries:
-        for un_named in scenario.utilities:
-            fn, un = fn_named.name, un_named.name
-            F, U = fn_named.curve, un_named.curve
-            ce = ce_taylor2(F, U, spec, moments_of(F))
-            ae = ae_taylor2(F, U, spec, moments_of(U))
-            values = {
-                "lottery_mean": ce.first_moment,
-                "lottery_var": ce.central_second_moment,
-                "risk_tolerance": ce.tolerance,
-                "ce_exact": ce.exact,
-                "ce_approx": ce.approx,
-                "ce_premium": ce.premium,
-                "utility_mean": ae.first_moment,
-                "utility_var": ae.central_second_moment,
-                "spread_tolerance": ae.tolerance,
-                "ae_exact": ae.exact,
-                "ae_approx": ae.approx,
-                "ae_premium": ae.premium,
-            }
-            out.line(f"pair ({fn}, {un}):")
-            for label, value in values.items():
-                out.line(f"  {label}: {_fmt(value)}")
-            record(fn, un, values)
-            pair_doc: dict[str, Any] = {"lottery": fn, "utility": un, **values}
-            if isinstance(F, ExponentialNormalized) and F.gamma > 0 and not U.is_step:
-                with warnings.catch_warnings():
-                    # the divergence verdict is printed below; the Python
-                    # warning would say it twice
-                    warnings.simplefilter("ignore", SeriesDivergenceWarning)
-                    series = ae_cumulant_series(F, U, terms, spec)
-                out.line(
-                    f"  cumulant series ({terms} terms): {_fmt(series.series)}, "
-                    f"closed form {_fmt(series.closed_form)}"
-                )
-                if series.diverging:
-                    out.line("  warning: series terms grow past k=3, not converging")
-                series_values = {"ae_series": series.series, "ae_closed_form": series.closed_form}
-                record(fn, un, series_values)
-                pair_doc.update(
-                    series_values, series_terms=series.terms, series_diverging=series.diverging
-                )
-            doc_pairs.append(pair_doc)
+    for fn_named, un_named in pairs:
+        fn, un = fn_named.name, un_named.name
+        F, U = fn_named.curve, un_named.curve
+        ce = ce_taylor2(F, U, spec, moments_of(F), lambda: _certain_from(U, next(integrals), spec))
+        ae = ae_taylor2(F, U, spec, moments_of(U), lambda: _certain_from(F, next(integrals), spec))
+        values = {
+            "lottery_mean": ce.first_moment,
+            "lottery_var": ce.central_second_moment,
+            "risk_tolerance": ce.tolerance,
+            "ce_exact": ce.exact,
+            "ce_approx": ce.approx,
+            "ce_premium": ce.premium,
+            "utility_mean": ae.first_moment,
+            "utility_var": ae.central_second_moment,
+            "spread_tolerance": ae.tolerance,
+            "ae_exact": ae.exact,
+            "ae_approx": ae.approx,
+            "ae_premium": ae.premium,
+        }
+        out.line(f"pair ({fn}, {un}):")
+        for label, value in values.items():
+            out.line(f"  {label}: {_fmt(value)}")
+        record(fn, un, values)
+        pair_doc: dict[str, Any] = {"lottery": fn, "utility": un, **values}
+        if isinstance(F, ExponentialNormalized) and F.gamma > 0 and not U.is_step:
+            with warnings.catch_warnings():
+                # the divergence verdict is printed below; the Python
+                # warning would say it twice
+                warnings.simplefilter("ignore", SeriesDivergenceWarning)
+                series = ae_cumulant_series(F, U, terms, spec)
+            out.line(
+                f"  cumulant series ({terms} terms): {_fmt(series.series)}, "
+                f"closed form {_fmt(series.closed_form)}"
+            )
+            if series.diverging:
+                out.line("  warning: series terms grow past k=3, not converging")
+            series_values = {"ae_series": series.series, "ae_closed_form": series.closed_form}
+            record(fn, un, series_values)
+            pair_doc.update(
+                series_values, series_terms=series.terms, series_diverging=series.diverging
+            )
+        doc_pairs.append(pair_doc)
     out.doc = {"pairs": doc_pairs}
     return out
 

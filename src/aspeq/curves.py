@@ -135,8 +135,9 @@ class Curve:
             xs = np.asarray(x, dtype=float)
         except OverflowError:  # an int beyond float range is outside too
             xs = np.asarray(math.inf)
-        inside = (xs >= self.lo) & (xs <= self.hi)
-        if not inside.all():
+        # a NaN fails the comparisons, as min and max propagate it
+        if xs.size and not self.lo <= np.minimum.reduce(xs, None) <= np.maximum.reduce(xs, None) <= self.hi:
+            inside = (xs >= self.lo) & (xs <= self.hi)
             bad = x if xs.ndim == 0 else float(xs[~inside][0])
             raise DomainError(f"x={bad!r} outside [{self.lo!r}, {self.hi!r}]")
         return xs

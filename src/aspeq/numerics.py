@@ -11,16 +11,18 @@ knots; panels never straddle a knot. There is one refinement loop:
 integrate_many refines a list of independent integrals in lockstep, and
 integrate is integrate_many of one job.
 
-An integrand is a product of factors (Product; a plain callable is a
-product of one), and a batch samples them curve-major: each round calls
-each distinct factor once, on the nodes of every integral that uses it,
-so a curve's density or value met by a whole matrix row is one call
-per round.
+A round of that loop is a fixed number of array operations, however many
+integrals it holds. An integrand is a product of factors (Product; a plain
+callable is a product of one), and a round calls each distinct factor once,
+on the nodes of every integral that uses it. Each rule sums one panel's row
+in a fixed order, with no BLAS call, so a panel's bits depend neither on
+the other integrals in its batch nor on the machine's BLAS.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
@@ -184,16 +186,20 @@ class _Integrands:
 
     def __init__(self, integrands: dict[int, Callable]) -> None:
         self.integrands = integrands
-        self.uses: dict[int, list[int]] = {}  # job -> its factors' numbers, in order
         self.alone: dict[int, Callable] = {}
+        uses: dict[int, list[int]] = {}  # job -> its factors' numbers, in order
         number: dict = {}
         for n, f in integrands.items():
             try:
                 factors = f.factors if isinstance(f, Product) else (f,)
-                self.uses[n] = [number.setdefault(g, len(number)) for g in factors]
+                uses[n] = [number.setdefault(g, len(number)) for g in factors]
             except TypeError:  # unhashable: sampled alone
                 pass
         self.kernels = list(number)
+        # row n: job n's factors' numbers, padded with -1 (none for a job
+        # sampled alone)
+        width = max(map(len, uses.values()), default=1)
+        self.slots = np.array([(uses.get(n, []) + [-1] * width)[:width] for n in range(max(integrands) + 1)])
 
     def solo(self, n: int) -> Callable:
         """Job n's integrand as it is sampled alone."""
@@ -201,39 +207,36 @@ class _Integrands:
             self.alone[n] = _batched(self.integrands[n])
         return self.alone[n]
 
-    def sample(self, ids: list[int], sizes: list[int], xs: np.ndarray) -> dict[int, np.ndarray]:
-        """Each integral's values at its nodes, the next sizes[k] rows of
-        xs for the integral of job ids[k], keyed by k; an integral
-        sampled alone (solo) has none."""
-        starts = [0, *accumulate(sizes)]
-        users: dict[int, list[int]] = {}
-        for k, n in enumerate(ids):
-            for g in self.uses.get(n, ()):
-                users.setdefault(g, []).append(k)
-        values = {}
-        for g, ks in users.items():
-            rows = [xs[starts[k] : starts[k + 1]] for k in ks]
-            at = (rows[0] if len(rows) == 1 else np.concatenate(rows)).ravel()
+    def sample(self, ids: list[int], sizes: list[int], xs: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """The values at the nodes xs, a row per panel, the integral of
+        job ids[k] owning the next sizes[k] rows; and the positions k of the
+        integrals sampled alone (solo), whose rows, like any past the last
+        integral's, are left for the caller."""
+        width = self.slots.shape[1]
+        # each factor's (row, slot) entries together, in row order
+        flat = np.repeat(self.slots[ids], sizes, axis=0).ravel()
+        order = np.argsort(flat, kind="stable")
+        factor = flat[order]
+        rows = order // width
+        # ys[s, r] is slot s of row r; an empty slot's 1.0 leaves the product's bits
+        ys = np.ones((width, *xs.shape))
+        at = (order % width) * len(xs) + rows
+        starts = np.flatnonzero(np.diff(factor, prepend=-1)).tolist()
+        for s, e in zip(starts, [*starts[1:], len(factor)]):
+            g = int(factor[s])
+            nodes = xs[rows[s:e]].ravel()
             try:
-                ys = self.kernels[g](at)
-                if not (isinstance(ys, np.ndarray) and ys.shape == at.shape):
+                values = self.kernels[g](nodes)
+                if not (isinstance(values, np.ndarray) and values.shape == nodes.shape):
                     raise TypeError
             except Exception:
-                for k in ks:
-                    self.uses.pop(ids[k], None)
+                self.slots[(self.slots == g).any(axis=1)] = -1
                 continue
-            width = [len(_NODES) * sizes[k] for k in ks]
-            for k, s, w in zip(ks, accumulate(width, initial=0), width):
-                values[k, g] = ys[s : s + w]
-        products = {}
-        for k, n in enumerate(ids):
-            if n in self.uses:
-                first, *rest = self.uses[n]
-                y = values[k, first]
-                for g in rest:
-                    y = y * values[k, g]
-                products[k] = y
-        return products
+            ys.reshape(-1, len(_NODES))[at[s:e]] = values.reshape(-1, len(_NODES))
+        product = ys[0]
+        for slot in ys[1:]:
+            product *= slot
+        return product, np.flatnonzero(self.slots[ids, 0] < 0).tolist()
 
 
 def _opening(lo: float, hi: float, knots: Iterable[float]) -> list[float]:
@@ -254,8 +257,8 @@ def _split_counts(errors: np.ndarray, remaining, budget):
     one past an integral's panels means all of them). errors holds each
     integral's panel errors largest first along its last axis, padded
     with inf."""
-    rest = remaining - errors.cumsum(axis=-1)
-    return (rest >= 0.5 * budget).sum(axis=-1) + 1
+    rest = remaining - np.add.accumulate(errors, -1)
+    return np.add.reduce(rest >= 0.5 * budget, -1) + 1
 
 
 def integrate(
@@ -330,52 +333,46 @@ def integrate_many(
         else:
             results[n] = 0.0
     if opened:
-        _refine(_Integrands(opened), sizes, np.array(lefts), np.array(rights), spec, results)
+        _refine(_Integrands(opened), sizes, np.array([lefts, rights]), spec, results)
     for n, r in enumerate(results):
         if isinstance(r, Exception):
             return results[: n + 1]
     return results
 
 
-def _estimates(integrands, ids, sizes, a, b, cut, results) -> tuple[np.ndarray, np.ndarray, int]:
-    """Kronrod estimate and QUADPACK error estimate of each panel [a, b];
-    the panels are grouped by integral, sizes[k] of them for the integral
-    of job ids[k].
+def _estimates(integrands, ids, sizes, panels, cut, results) -> int:
+    """Fill in the Kronrod estimate and the QUADPACK error estimate of
+    each panel, columns of panels (_refine); they are grouped by
+    integral, sizes[k] of them for the integral of job ids[k].
 
-    The first cut integrals are sampled together (_Integrands.sample),
-    and each one's rows go through the three matrix-vector products on
-    their own: stacked with other integrals' rows, the products round
-    differently. An integral whose integrand raises or returns a
-    non-finite value gets that exception as its result. The integrals
-    from the first such one on, and those from cut on, get NaN estimates;
-    the cut returned leaves them out."""
-    half = 0.5 * (b - a)
-    xs = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
+    The first cut integrals are sampled (_Integrands.sample). Each rule
+    sums a panel's weighted values along its own row, in an order that
+    depends on nothing else, so a panel gets the same bits in any batch
+    as alone, whatever BLAS the machine has. An integral whose integrand
+    raises or returns a non-finite value gets that exception as its
+    result. The integrals from the first such one on, and those from cut
+    on, get NaN estimates; the cut returned leaves them out."""
+    half = 0.5 * (panels[1] - panels[0])
+    xs = (0.5 * (panels[0] + panels[1]))[:, None] + half[:, None] * _NODES
+    bounds = [0, *accumulate(sizes)]
     # a lone integral has no factor to share
-    products = integrands.sample(ids[:cut], sizes[:cut], xs) if cut > 1 else {}
-    rules = []
-    first, s = cut, 0
-    for k, size in enumerate(sizes):
-        nodes = xs[s : s + size].ravel()
-        s += size
-        ys = None
-        if k < cut:
-            try:
-                ys = products[k] if k in products else integrands.solo(ids[k])(nodes)
-                finite = np.isfinite(ys)
-                if not finite.all():
-                    x = float(nodes[np.argmin(finite)])
-                    raise QuadratureError(f"integrand returned a non-finite value at x={x!r}")
-                ys = ys.reshape(size, len(_NODES))
-            except Exception as exc:  # ends the list integrate_many returns
-                results[ids[k]] = exc
-                first = min(first, k)
-                ys = None
-        if ys is None:
-            ys = np.full((size, len(_NODES)), np.nan)
-        k15 = ys @ _KRONROD
-        rules.append((k15, ys @ _GAUSS, np.abs(ys - 0.5 * k15[:, None]) @ _KRONROD))
-    kronrod, gauss, resasc = rules[0] if len(rules) == 1 else map(np.concatenate, zip(*rules))
+    ys, solo = integrands.sample(ids[:cut], sizes[:cut], xs) if cut > 1 else (np.empty(xs.shape), range(cut))
+    for k in solo:
+        s, e = bounds[k], bounds[k + 1]
+        try:
+            ys[s:e] = integrands.solo(ids[k])(xs[s:e].ravel()).reshape(e - s, len(_NODES))
+        except Exception as exc:  # ends the list integrate_many returns
+            results[ids[k]], cut = exc, k
+            break
+    finite = np.isfinite(ys[: bounds[cut]])
+    if np.count_nonzero(finite) < finite.size:  # the first non-finite value in job order
+        i = int(np.argmin(finite))
+        cut, x = bisect_right(bounds, i // len(_NODES)) - 1, float(xs.flat[i])
+        results[ids[cut]] = QuadratureError(f"integrand returned a non-finite value at x={x!r}")
+    ys[bounds[cut] :] = np.nan
+    kronrod = np.add.reduce(ys * _KRONROD, -1)
+    gauss = np.add.reduce(ys * _GAUSS, -1)
+    resasc = np.add.reduce(np.abs(ys - 0.5 * kronrod[:, None]) * _KRONROD, -1)
     # QUADPACK's error estimate on [-1, 1] from the two rules' sums and
     # resasc, the integrand's variation about its mean: when the rules
     # agree closely their gap is scaled down by the 3/2 power (Piessens et
@@ -383,58 +380,57 @@ def _estimates(integrands, ids, sizes, a, b, cut, results) -> tuple[np.ndarray, 
     gap = np.abs(kronrod - gauss)
     varies = resasc > 0.0
     scaled = resasc * np.minimum(1.0, (200.0 * gap / np.where(varies, resasc, 1.0)) ** 1.5)
-    error = np.where(varies, scaled, gap)
-    return half * kronrod, half * error, first
+    np.multiply(half, kronrod, out=panels[3])
+    np.multiply(half, np.where(varies, scaled, gap), out=panels[4])
+    return cut
 
 
-def _refine(integrands, sizes: list[int], a, b, spec: QuadratureSpec, results: list) -> None:
+def _refine(integrands, sizes: list[int], ends: np.ndarray, spec: QuadratureSpec, results: list) -> None:
     """The refinement loop of integrate_many over the opened integrals,
-    in job order; sizes[k] of the opening panels a, b are the k-th one's.
+    in job order; sizes[k] of the opening panels, whose ends are the
+    columns of ends, are the k-th one's.
 
-    Panels live in flat arrays, each integral's together and in the order
-    a one-integral loop keeps them: kept panels, then the left halves,
-    then the right halves of those split, both in split order. The sums
-    that decide the stopping test (pairwise, as ndarray.sum adds) and the
-    split order run on each integral's own panels in that order, which
-    keeps every value bit for bit what the integral gives alone; the rest
-    of a round is vectorized across integrals. With one integral left the
-    sorting, splitting and merging need no regrouping. The first integral
-    to fail, in job order, leaves the loop with every integral after it."""
+    Panels are the columns of one array, each integral's together and in
+    the order a one-integral loop keeps them: kept panels, then the left
+    halves, then the right halves of those split, both in split order. A
+    round is a fixed number of array operations however many integrals
+    it holds: the stopping test (on each integral's total and error, one
+    reduceat over its run of panels), the split order, splitting and
+    merging. None mixes one integral's numbers into another's, so every
+    value is bit for bit what the integral gives alone. One integral
+    needs no regrouping to sort, split and merge. The first integral to
+    fail, in job order, leaves the loop with every integral after it."""
     ids = list(integrands.integrands)
-    depth = np.full(len(a), spec.max_subdivision_depth)
-    value, error, cut = _estimates(integrands, ids, sizes, a, b, len(ids), results)
+    # rows: each panel's ends, the splits left before the depth limit,
+    # its estimate and its error
+    panels = np.empty((5, ends.shape[1]))
+    panels[:2], panels[2] = ends, spec.max_subdivision_depth
+    cut = _estimates(integrands, ids, sizes, panels, len(ids), results)
     while True:
-        live, remaining, budget = [], [], []
-        s = 0
-        for k, size in enumerate(sizes[:cut]):
-            e = s + size
-            total, err = float(np.add.reduce(value[s:e])), float(np.add.reduce(error[s:e]))
-            limit = max(spec.absolute_tolerance, spec.relative_tolerance * abs(total))
-            # past the budget, refinement also ends once the error no longer
-            # shows in the total's last bit (Gander and Gautschi, BIT 2000):
-            # a tolerance below machine precision asks for what no
-            # refinement can give
-            if err <= limit or total + err == total:
+        starts = [0, *accumulate(sizes[:cut])]
+        total, err = np.add.reduceat(panels[3:, : starts[-1]], starts[:-1], 1)
+        limit = np.maximum(spec.absolute_tolerance, spec.relative_tolerance * np.abs(total))
+        # past the budget, refinement also ends once the error no longer
+        # shows in the total's last bit (Gander and Gautschi, BIT 2000):
+        # a tolerance below machine precision asks for what no refinement
+        # can give
+        stop = (err <= limit) | (total + err == total)
+        done = stop.nonzero()[0].tolist()
+        if done or cut < len(ids):
+            for k in done:
                 # fsum over the surviving panels is exact, so the result
                 # cannot depend on the order the panels were split in
-                results[ids[k]] = math.fsum(value[s:e].tolist())
-            else:
-                live.append(k)
-                remaining.append(err)
-                budget.append(limit)
-            s = e
-        if not live:
-            return
-        if len(live) < len(ids):
-            alive = np.zeros(len(ids), dtype=bool)
-            alive[live] = True
-            keep = np.repeat(alive, sizes)
-            ids, sizes = [ids[k] for k in live], [sizes[k] for k in live]
-            a, b, depth, value, error = a[keep], b[keep], depth[keep], value[keep], error[keep]
+                results[ids[k]] = math.fsum(panels[3, starts[k] : starts[k + 1]].tolist())
+            if len(done) == cut:
+                return
+            live = (~stop).nonzero()[0].tolist()
+            panels = panels[:, : starts[-1]][:, np.repeat(~stop, sizes[:cut])]
+            ids, sizes, err, limit = [ids[k] for k in live], [sizes[k] for k in live], err[live], limit[live]
 
+        error = panels[4]
         if len(ids) == 1:
             order = (-error).argsort(kind="stable")
-            split = order[: _split_counts(error[order], remaining[0], budget[0])]
+            split = order[: _split_counts(error[order], err[0], limit[0])]
             counts = [len(split)]
         else:
             # each integral's panels by falling error, ties in panel order,
@@ -442,46 +438,43 @@ def _refine(integrands, sizes: list[int], a, b, spec: QuadratureSpec, results: l
             per = np.array(sizes)
             row = np.repeat(np.arange(len(ids)), per)
             order = np.lexsort((-error, row))
-            rank = np.arange(len(a)) - np.repeat(np.cumsum(per) - per, per)
+            rank = np.arange(len(error)) - np.repeat(np.cumsum(per) - per, per)
             errors = np.full((len(ids), per.max()), np.inf)
             errors[row, rank] = error[order]
-            counts = _split_counts(errors, np.array(remaining)[:, None], np.array(budget)[:, None])
+            counts = _split_counts(errors, err[:, None], limit[:, None])
             split = order[rank < np.repeat(counts, per)]
             counts = np.minimum(counts, per).tolist()
 
-        left, right, down = a[split], b[split], depth[split] - 1
+        halved = panels[:, split]
+        left, right, down = halved[:3]
         mid = 0.5 * (left + right)
+        down -= 1
         stuck = (down < 0) | (mid <= left) | (mid >= right)
         cut = len(ids)
-        if stuck.any():  # the first stuck panel in split order
+        if np.count_nonzero(stuck):  # the first stuck panel in split order
             i = split[np.argmax(stuck)]
             cut = int(np.searchsorted(np.cumsum(sizes), i, side="right"))
+            lo, hi, _, best, bound = panels[:, i].tolist()
             results[ids[cut]] = QuadratureError(
-                f"refinement depth exhausted on [{float(a[i])!r}, {float(b[i])!r}]: best "
-                f"estimate {float(value[i])!r}, error bound {float(error[i]):.3e}"
+                f"refinement depth exhausted on [{lo!r}, {hi!r}]: best "
+                f"estimate {best!r}, error bound {bound:.3e}"
             )
-        new_a = np.concatenate([left, mid])
-        new_b = np.concatenate([mid, right])
-        new_depth = np.concatenate([down, down])
+        # the left halves, then the right halves, each in split order
+        new = np.concatenate([halved, halved], axis=1)
+        new[1, : len(split)] = new[0, len(split) :] = mid
         if len(ids) > 1:
             # each integral's left halves, then its right halves; after the
             # merge, each integral's kept panels, then its new ones
-            halves = np.argsort(np.concatenate([row[split], row[split]]), kind="stable")
-            new_a, new_b, new_depth = new_a[halves], new_b[halves], new_depth[halves]
+            new = new[:, np.argsort(np.concatenate([row[split], row[split]]), kind="stable")]
         new_sizes = [2 * c for c in counts]
-        new_value, new_error, cut = _estimates(integrands, ids, new_sizes, new_a, new_b, cut, results)
+        cut = _estimates(integrands, ids, new_sizes, new, cut, results)
 
-        keep = np.ones(len(a), dtype=bool)
+        keep = np.ones(len(error), dtype=bool)
         keep[split] = False
-        a = np.concatenate([a[keep], new_a])
-        b = np.concatenate([b[keep], new_b])
-        depth = np.concatenate([depth[keep], new_depth])
-        value = np.concatenate([value[keep], new_value])
-        error = np.concatenate([error[keep], new_error])
+        panels = np.concatenate([panels[:, keep], new], axis=1)
         if len(ids) > 1:
             new_row = np.repeat(np.arange(len(ids)), new_sizes)
-            merged = np.argsort(np.concatenate([row[keep], new_row]), kind="stable")
-            a, b, depth, value, error = a[merged], b[merged], depth[merged], value[merged], error[merged]
+            panels = panels[:, np.argsort(np.concatenate([row[keep], new_row]), kind="stable")]
         sizes = [size + c for size, c in zip(sizes, counts)]
 
 

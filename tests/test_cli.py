@@ -256,6 +256,32 @@ class TestApprox:
         assert code == 0
         assert "cumulant series" not in text
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            # the beta's mean, 0.4, sits on the piecewise utility's kink
+            {"kind": "piecewise_linear", "knots": [[0.0, 0.0], [0.4, 0.7], [1.0, 1.0]]},
+            # a density unbounded at 0, whose moments fail before the
+            # batch's refusal of its AE job is read
+            {"kind": "scaled_beta", "alpha": 0.5, "beta": 2.0},
+            {"kind": "step", "x0": 0.5},
+            {"kind": "log_wealth", "w": 0.3},
+        ],
+    )
+    def test_one_batch_reads_as_the_pair_loop(self, tmp_path, capsys, monkeypatch, extra):
+        # every pair's exact CE and AE come from one batch; integrating
+        # each where it is read instead prints, and fails, the same
+        import aspeq.cli
+        from aspeq.duality import _pair_values
+
+        scenario = {**BASIC, "lotteries": [*BASIC["lotteries"], {"name": "tri", "kind": "triangular"}]}
+        scenario["utilities"] = [*BASIC["utilities"], {"name": "extra", **extra}]
+        path = write_scenario(tmp_path, scenario)
+        batched = run("approx", "--scenario", path), capsys.readouterr().err
+        one_at_a_time = lambda jobs, spec: (next(_pair_values([job], spec)) for job in jobs)
+        monkeypatch.setattr(aspeq.cli, "_pair_values", one_at_a_time)
+        assert (run("approx", "--scenario", path), capsys.readouterr().err) == batched
+
     def test_moments_once_per_curve(self, monkeypatch):
         from aspeq.curves import Curve
 
@@ -482,8 +508,8 @@ class TestIntegralsPerCommand:
             # one exponential chain per lottery (1 in table1, 3 in table2)
             ("dominance", "table1", 4, 14),
             ("dominance", "table2", 6, 30),
-            # 9 pairs x (exact CE, exact AE), and 6 curves' moments
-            ("approx", "table2", 24, 36),
+            # the 9 pairs' exact CE and AE in one batch, and 6 curves' moments
+            ("approx", "table2", 7, 36),
         ],
     )
     def test_batch_count(self, quadrature_batches, command, fixture, batches, jobs):

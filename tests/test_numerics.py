@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aspeq.numerics as numerics
 from aspeq import DomainError, ExponentialNormalized, LogWealth, ScaledBeta, Triangular
@@ -333,10 +339,33 @@ def _reference_sets():
     return sets
 
 
-# Each job's outcome as integrate() gave it while it ran a refinement loop
-# of its own, separate from integrate_many's; the one loop must reproduce
-# it bit for bit. Regenerate (PYTHONPATH=src python
-# tests/test_numerics.py) only for an intended change of values.
+def _environment():
+    """What an outcome's last bits depend on besides this code: the numpy
+    and scipy versions, and the CPU features numpy dispatches its
+    elementwise kernels to. With numpy's AVX-512 paths turned off
+    (NPY_DISABLE_CPU_FEATURES), 14 of the 204 outcomes move, each a pair
+    with an exponential_normalized, truncated_gaussian or scaled_beta
+    curve, whose kernels call np.exp or np.expm1. No BLAS call takes part
+    in the quadrature, so the BLAS kernel is not among them."""
+    cpu = getattr(np, "_core", None) or np.core
+    umath = cpu._multiarray_umath
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "numpy_cpu_baseline": sorted(umath.__cpu_baseline__),
+        "numpy_cpu_dispatch": sorted(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)),
+    }
+
+
+def _outcomes(names):
+    """name -> the bits of each job of that reference set, integrated alone."""
+    sets = _reference_sets()
+    return {name: [_bits(_alone(*job, sets[name][0])) for job in sets[name][1]] for name in names}
+
+
+# Each job's outcome as integrate() gives it, and the environment it was
+# recorded in. Regenerate (PYTHONPATH=src python tests/test_numerics.py)
+# only for an intended change of values.
 REFERENCE = Path(__file__).parent / "data" / "integrate_reference.json"
 
 
@@ -353,6 +382,16 @@ def _batch(jobs, spec):
     return got
 
 
+def _moved(got, want, recorded):
+    """How many outcomes moved, and what differs between the environment
+    the reference was recorded in and this one."""
+    here = _environment()
+    keys = sorted(here.keys() | recorded.keys())
+    changed = [f"{k} {recorded.get(k)} -> {here.get(k)}" for k in keys if here.get(k) != recorded.get(k)]
+    cause = "; ".join(changed) if changed else "the environment is the recorded one, so the code moved them"
+    return f"{sum(g != w for g, w in zip(got, want))} of {len(want)} outcomes moved ({cause})"
+
+
 class TestIntegrateMany:
     @pytest.fixture(scope="class")
     def reference(self):
@@ -360,13 +399,34 @@ class TestIntegrateMany:
 
     @pytest.mark.parametrize("name", list(_reference_sets()), ids=_set_id)
     def test_integrate_matches_frozen_reference(self, name, reference):
-        spec, jobs = _reference_sets()[name]
-        assert [_bits(_alone(*job, spec)) for job in jobs] == reference[name]
+        got, want = _outcomes([name])[name], reference["outcomes"][name]
+        assert got == want, _moved(got, want, reference["environment"])
 
     @pytest.mark.parametrize("name", list(_reference_sets()), ids=_set_id)
-    def test_bit_identical_to_integrate(self, name, reference):
+    def test_bit_identical_to_integrate(self, name):
+        # needs no file, so it holds in every environment
         spec, jobs = _reference_sets()[name]
-        assert [_bits(r) for r in _batch(jobs, spec)] == reference[name]
+        assert [_bits(r) for r in _batch(jobs, spec)] == _outcomes([name])[name]
+
+    def test_blas_kernel_does_not_matter(self):
+        # OPENBLAS_CORETYPE=Prescott holds OpenBLAS to its oldest x86-64
+        # kernels, which round matrix products differently from this
+        # machine's; a child process started with it gives the same bits
+        names = [name for name in _reference_sets() if name.startswith("tolerance@")]
+        code = (
+            "import json, sys; sys.path[:0] = sys.argv[1:3]; import test_numerics as t; "
+            "print(json.dumps(t._outcomes(sys.argv[3:])))"
+        )
+        tests, src = Path(__file__).parent, Path(numerics.__file__).parents[1]
+        child = subprocess.run(
+            [sys.executable, "-c", code, str(tests), str(src), *names],
+            env={**os.environ, "OPENBLAS_CORETYPE": "Prescott"},
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout) == _outcomes(names)
 
     @pytest.mark.parametrize("first", ("non_finite", "depth"))
     def test_list_ends_at_first_failing_job(self, first):
@@ -539,13 +599,56 @@ class TestCurveMajorSampling:
             Product()
 
 
-if __name__ == "__main__":
-    import sys
+def _solo_exp(x):
+    return math.exp(x)  # takes no array, so it is sampled point by point
 
+
+def _nan_above(xs):
+    return np.where(xs > 0.5, np.nan, np.cos(xs))
+
+
+_FACTORS = (np.exp, np.sin, np.cos, np.arctan)
+_integrand = st.one_of(
+    st.sampled_from(_FACTORS),
+    st.builds(Product, st.sampled_from(_FACTORS), st.sampled_from(_FACTORS)),
+    st.just(_solo_exp),
+    st.just(_nan_above),
+)
+_panel = st.tuples(st.floats(-3.0, 3.0), st.floats(1e-6, 2.0)).map(lambda p: (p[0], p[0] + p[1]))
+
+
+def _estimated(fs, panels):
+    """_estimates of each integral fs[k] over its panels panels[k], all
+    in one batch: each integral's estimates and errors, up to the first
+    failure, and that integral's exception."""
+    sizes = [len(p) for p in panels]
+    grid = np.zeros((5, sum(sizes)))
+    grid[:2] = np.array([ab for p in panels for ab in p]).T
+    results = [None] * len(fs)
+    integrands = numerics._Integrands(dict(enumerate(fs)))
+    cut = numerics._estimates(integrands, list(range(len(fs))), sizes, grid, len(fs), results)
+    starts = np.cumsum([0, *sizes])
+    rows = [grid[3:, starts[k] : starts[k + 1]].tobytes() for k in range(cut)]
+    return rows, [_bits(r) for r in results[cut : cut + 1]]
+
+
+class TestRowIndependence:
+    """A panel's estimate and error estimate have the bits it gets alone,
+    however many integrals share its batch and whatever they are."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_integrand, st.lists(_panel, min_size=1, max_size=5)), min_size=1, max_size=6))
+    def test_panel_bits_alone_and_stacked(self, jobs):
+        fs, panels = zip(*jobs)
+        rows, failure = _estimated(fs, panels)
+        alone = [_estimated([f], [p]) for f, p in zip(fs, panels)]
+        assert rows == [r for (r,), _ in alone[: len(rows)]]
+        if failure:
+            assert failure == alone[len(rows)][1]
+
+
+if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).parent))
     REFERENCE.parent.mkdir(exist_ok=True)
-    sets = {
-        name: [_bits(_alone(*job, spec)) for job in jobs]
-        for name, (spec, jobs) in _reference_sets().items()
-    }
-    REFERENCE.write_text(json.dumps(sets, indent=1) + "\n")
+    reference = {"environment": _environment(), "outcomes": _outcomes(_reference_sets())}
+    REFERENCE.write_text(json.dumps(reference, indent=1) + "\n")
