@@ -12,8 +12,9 @@ compares each one against the computed quantity under its key and prints
 OK, DIFFERS (with a warning line), or a plain report when no tolerance
 is given.
 
-Exit codes: 0 success, 2 bad input (file, schema, flag values), 3
-numeric failure inside the computation.
+Each command's parser has only the options it reads (see _OPTIONS).
+Exit codes: 0 success; 2 bad input (an unread or out-of-range option, a
+file, the schema); 3 a numeric failure, raised as a package error type.
 """
 
 from __future__ import annotations
@@ -29,22 +30,24 @@ from functools import cache
 from typing import Any, Callable, TextIO
 
 from .approximations import (
+    CurvatureError,
     SeriesDivergenceWarning,
     ae_cumulant_series,
     ae_taylor2,
     ce_taylor2,
 )
-from .curves import CurveError, CurveParameterError, ExponentialNormalized
-from .delegation import desiderata_report, update_target
+from .curves import Curve, CurveError, CurveParameterError, ExponentialNormalized
+from .delegation import DEFAULT_FRACTILE, desiderata_report, update_target
 from .dominance import (
+    DEFAULT_GRID,
     dominance_implications,
     exponential_chain,
     first_order_dominates,
     second_order_dominates,
 )
-from .duality import _certain_from, _pair_values
+from .duality import DomainMismatchError, UnattainableTargetError, _certain_from, _pair_values
 from .duality import aspiration_equivalent, effective_gamma, evaluate_pairs, exponential_or_linear
-from .numerics import NumericsError, QuadratureSpec
+from .numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureSpec
 from .scenarios import Scenario, ScenarioError, _number, load_scenario
 from .selection import EvalMatrix, allocate_eu_matrix, allocation_sums, evaluate_matrix, find_pure_saddle
 
@@ -153,22 +156,10 @@ def _published_block(scenario: Scenario, out: _Out) -> None:
         out.doc["published_comparison"] = comparisons
 
 
-def _quad_spec(args: argparse.Namespace) -> QuadratureSpec | None:
-    if args.tol is None:
-        return None
-    if not 0.0 < args.tol < 1.0:
-        raise ScenarioError(f"--tol must be inside (0, 1), got {args.tol!r}")
-    return QuadratureSpec(relative_tolerance=args.tol)
-
-
 def _need(scenario: Scenario, key: str) -> Any:
     if key not in scenario.params:
         raise ScenarioError(f"{key}: required by this command, missing from scenario")
     return scenario.params[key]
-
-
-def _param_number(scenario: Scenario, key: str) -> float:
-    return _number(_need(scenario, key), key)
 
 
 _MATRIX_KEYS = ("eu", "edu", "ce", "ae")
@@ -184,7 +175,7 @@ def _evaluated(
     matrix = evaluate_matrix(
         [nc.curve for nc in scenario.lotteries],
         [nc.curve for nc in scenario.utilities],
-        _quad_spec(args),
+        args.spec,
     )
     out = _Out()
     for key in _MATRIX_KEYS:
@@ -227,22 +218,28 @@ def _cmd_eval(scenario: Scenario, args: argparse.Namespace) -> _Out:
     return out
 
 
-def _gamma_grid(scenario: Scenario, args: argparse.Namespace) -> list[float]:
+def _gamma_grid(scenario: Scenario, n: int) -> list[tuple[float, Curve]]:
+    """sweep's gammas, each with its curve (n from a range); no curve is bad input."""
     if "gammas" in scenario.params:
         raw = scenario.params["gammas"]
         if not isinstance(raw, list) or not raw:
             raise ScenarioError("gammas: expected a nonempty list of numbers")
-        return [_number(g, f"gammas[{k}]") for k, g in enumerate(raw)]
-    if "gamma_range" in scenario.params:
+        gammas = [(_number(g, f"gammas[{k}]"), f"gammas[{k}]") for k, g in enumerate(raw)]
+    elif "gamma_range" in scenario.params:
         raw = scenario.params["gamma_range"]
         if not isinstance(raw, list) or len(raw) != 2:
             raise ScenarioError("gamma_range: expected [first, last]")
-        n = args.grid if args.grid is not None else 21
-        if n < 2:
-            raise ScenarioError(f"--grid must be at least 2 for a range, got {n}")
         g0, g1 = _number(raw[0], "gamma_range[0]"), _number(raw[1], "gamma_range[1]")
-        return [g0 + (g1 - g0) * k / (n - 1) for k in range(n)]
-    raise ScenarioError("sweep needs either gammas or gamma_range in the scenario")
+        gammas = [(g0 + (g1 - g0) * k / (n - 1), "gamma_range") for k in range(n)]
+    else:
+        raise ScenarioError("sweep needs either gammas or gamma_range in the scenario")
+    grid = []
+    for g, path in gammas:
+        try:
+            grid.append((g, exponential_or_linear(scenario.lo, scenario.hi, g)))
+        except CurveParameterError as exc:
+            raise ScenarioError(f"{path}: {exc}") from exc
+    return grid
 
 
 def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> _Out:
@@ -250,27 +247,15 @@ def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> _Out:
         raise ScenarioError(
             f"sweep works on exactly one lottery, scenario has {len(scenario.lotteries)}"
         )
-    spec = _quad_spec(args)
     f = scenario.lotteries[0].curve
-    grid = _gamma_grid(scenario, args)
-    # a gamma with no curve ends the grid; the gammas before it still
-    # fail first, as they would one at a time
-    pairs, refused = [], None
-    for g in grid:
-        try:
-            pairs.append((f, exponential_or_linear(scenario.lo, scenario.hi, g)))
-        except CurveParameterError as exc:
-            refused = exc
-            break
+    grid = _gamma_grid(scenario, args.grid)
     out = _Out()
     out.table_row("gamma", "certain_equivalent", "aspiration_equivalent")
     rows = []
-    for g, r in zip(grid, evaluate_pairs(pairs, spec)):
+    for (g, _), r in zip(grid, evaluate_pairs([(f, u) for _, u in grid], args.spec)):
         ce, ae = r.certain_equivalent, r.aspiration_equivalent
         out.table_row(g, ce, ae)
         rows.append({"gamma": g, "certain_equivalent": ce, "aspiration_equivalent": ae})
-    if refused is not None:
-        raise refused
     out.doc = {"lottery": scenario.lotteries[0].name, "sweep": rows}
     return out
 
@@ -278,13 +263,12 @@ def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> _Out:
 def _cmd_update_target(scenario: Scenario, args: argparse.Namespace) -> _Out:
     old_name = _need(scenario, "old_lottery")
     new_name = _need(scenario, "new_lottery")
-    target = _param_number(scenario, "target")
+    target = _number(_need(scenario, "target"), "target")
     old = scenario.lottery(old_name)
     new = scenario.lottery(new_name)
-    spec = _quad_spec(args)
-    upd = update_target(old, target, new, spec)
+    upd = update_target(old, target, new, args.spec)
     u = exponential_or_linear(scenario.lo, scenario.hi, upd.effective_gamma)
-    round_trip = abs(aspiration_equivalent(old, u, spec) - target)
+    round_trip = abs(aspiration_equivalent(old, u, args.spec) - target)
     limit = 1e-5 * (scenario.hi - scenario.lo)
     verdict = "PASS" if round_trip <= limit else "FAIL"
     rt = u.tolerance_at(scenario.lo)
@@ -351,12 +335,11 @@ def _cmd_matrix(scenario: Scenario, args: argparse.Namespace) -> _Out:
 def _cmd_allocate(scenario: Scenario, args: argparse.Namespace) -> _Out:
     if len(scenario.lotteries) != len(scenario.utilities) or not scenario.lotteries:
         raise ScenarioError("allocate needs equally many lotteries and utilities")
-    spec = _quad_spec(args)
     fnames = scenario.lottery_names()
     unames = scenario.utility_names()
     lotteries = [nc.curve for nc in scenario.lotteries]
     utilities = [nc.curve for nc in scenario.utilities]
-    matrix = evaluate_matrix(lotteries, utilities, spec)
+    matrix = evaluate_matrix(lotteries, utilities, args.spec)
     allocation = allocate_eu_matrix(matrix.eu)
     sums = dict(zip(("sum_ce", "sum_ae", "sum_eu"), allocation_sums(allocation, matrix)))
 
@@ -397,13 +380,9 @@ def _cmd_dominance(scenario: Scenario, args: argparse.Namespace) -> _Out:
     second = scenario.params.get("second", scenario.utility_names()[1])
     A = scenario.utility(first)
     B = scenario.utility(second)
-    grid = args.grid if args.grid is not None else 2048
-    if grid < 64:
-        raise ScenarioError(f"--grid must be at least 64, got {grid}")
-    spec = _quad_spec(args)
 
     out = _Out()
-    verdict = first_order_dominates(A, B, grid)
+    verdict = first_order_dominates(A, B, args.grid)
     out.computed["dominates"] = 1.0 if verdict.dominates else 0.0
     out.computed["max_violation"] = verdict.max_violation
     out.line(
@@ -413,7 +392,7 @@ def _cmd_dominance(scenario: Scenario, args: argparse.Namespace) -> _Out:
     )
     if verdict.strict_witness is not None:
         out.line(f"  strict at x = {_fmt(verdict.strict_witness)}")
-    second_order = second_order_dominates(A, B, grid)
+    second_order = second_order_dominates(A, B, args.grid)
     out.line(
         f"second-order (integrated, analog-derived): "
         f"{'yes' if second_order.dominates else 'no'} "
@@ -430,7 +409,7 @@ def _cmd_dominance(scenario: Scenario, args: argparse.Namespace) -> _Out:
     out.row("max_violation", "", verdict.max_violation)
     if verdict.dominates and scenario.lotteries:
         report = dominance_implications(
-            A, B, [nc.curve for nc in scenario.lotteries], grid, spec
+            A, B, [nc.curve for nc in scenario.lotteries], args.grid, args.spec
         )
         out.line(
             f"implication margins vs each lottery "
@@ -459,7 +438,7 @@ def _cmd_dominance(scenario: Scenario, args: argparse.Namespace) -> _Out:
         names = ("pointwise_margin", "eu_margin", "ae_margin", "ce_margin")
         chains = []
         for nc in scenario.lotteries:
-            chain = exponential_chain(g_lo, g_hi, nc.curve, grid, spec)
+            chain = exponential_chain(g_lo, g_hi, nc.curve, args.grid, args.spec)
             out.line(
                 f"exponential chain on {nc.name} (gamma {_fmt(g_lo)} vs {_fmt(g_hi)}): "
                 f"pointwise {_fmt(chain.pointwise_margin)}, eu {_fmt(chain.eu_margin)}, "
@@ -474,10 +453,7 @@ def _cmd_dominance(scenario: Scenario, args: argparse.Namespace) -> _Out:
 def _cmd_approx(scenario: Scenario, args: argparse.Namespace) -> _Out:
     if not scenario.lotteries or not scenario.utilities:
         raise ScenarioError("approx needs at least one lottery and one utility")
-    terms = args.terms if args.terms is not None else 6
-    if not 1 <= terms <= 8:
-        raise ScenarioError(f"--terms must be between 1 and 8, got {terms}")
-    spec = _quad_spec(args)
+    spec = args.spec
     out = _Out()
     out.row("quantity", "lottery", "utility", "value")
     doc_pairs = []
@@ -523,9 +499,9 @@ def _cmd_approx(scenario: Scenario, args: argparse.Namespace) -> _Out:
                 # the divergence verdict is printed below; the Python
                 # warning would say it twice
                 warnings.simplefilter("ignore", SeriesDivergenceWarning)
-                series = ae_cumulant_series(F, U, terms, spec)
+                series = ae_cumulant_series(F, U, args.terms, spec)
             out.line(
-                f"  cumulant series ({terms} terms): {_fmt(series.series)}, "
+                f"  cumulant series ({args.terms} terms): {_fmt(series.series)}, "
                 f"closed form {_fmt(series.closed_form)}"
             )
             if series.diverging:
@@ -541,17 +517,15 @@ def _cmd_approx(scenario: Scenario, args: argparse.Namespace) -> _Out:
 
 
 def _cmd_solve_gamma(scenario: Scenario, args: argparse.Namespace) -> _Out:
-    target = _param_number(scenario, "target")
+    target = _number(_need(scenario, "target"), "target")
     if len(scenario.lotteries) == 1:
         name = scenario.lotteries[0].name
     else:
         name = _need(scenario, "lottery")
     f = scenario.lottery(name)
-    spec = _quad_spec(args)
-    tol = args.tol if args.tol is not None else 1e-10
-    g = effective_gamma(f, target, spec, value_tolerance=tol)
+    g = effective_gamma(f, target, args.spec)
     u = exponential_or_linear(scenario.lo, scenario.hi, g)
-    achieved = aspiration_equivalent(f, u, spec)
+    achieved = aspiration_equivalent(f, u, args.spec)
     rt = u.tolerance_at(scenario.lo)
     out = _Out()
     out.line(f"lottery {name}, target {_fmt(target)}")
@@ -566,14 +540,10 @@ def _cmd_solve_gamma(scenario: Scenario, args: argparse.Namespace) -> _Out:
 def _cmd_delegate(scenario: Scenario, args: argparse.Namespace) -> _Out:
     if len(scenario.lotteries) < 2 or not scenario.utilities:
         raise ScenarioError("delegate needs at least two lotteries and one utility")
-    fractile = args.fractile if args.fractile is not None else 0.5
-    if not 0.0 < fractile < 1.0:
-        raise ScenarioError(f"--fractile must be inside (0, 1), got {fractile!r}")
-    spec = _quad_spec(args)
     lotteries = [nc.curve for nc in scenario.lotteries]
     fnames = scenario.lottery_names()
     utility = scenario.utilities[0].curve
-    report = desiderata_report(lotteries, utility, fractile, spec)
+    report = desiderata_report(lotteries, utility, args.fractile, args.spec)
     # that rule's agent is the delegate choosing by aspiration targets
     aspiration = next(r for r in report.rules if r.rule == "aspiration_equivalent")
 
@@ -585,7 +555,7 @@ def _cmd_delegate(scenario: Scenario, args: argparse.Namespace) -> _Out:
     out.row("rule", "lottery", "target", "exceedance")
     doc_rules = []
     for rule in report.rules:
-        tag = rule.rule if rule.rule != "fractile" else f"fractile({_fmt(fractile)})"
+        tag = rule.rule if rule.rule != "fractile" else f"fractile({_fmt(args.fractile)})"
         out.line(f"rule {tag}:")
         for fn, t, p in zip(fnames, rule.targets, rule.exceedance):
             out.line(f"  {fn}: target {_fmt(t)}, exceedance {_fmt(p)}")
@@ -627,7 +597,44 @@ _HANDLERS: dict[str, Callable[[Scenario, argparse.Namespace], _Out]] = {
 COMMANDS = tuple(_HANDLERS)
 
 
-@cache  # building costs some 35 parses, and main may run many times per process
+def _ranged(convert: Callable[[str], Any], valid: Callable[[Any], bool], wanted: str) -> Callable[[str], Any]:
+    """An argparse type: the converted value, or a refusal (exit 2)
+    saying what was wanted."""
+
+    def parse(text: str) -> Any:
+        try:
+            if valid(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+
+    return parse
+
+
+_FRACTION = _ranged(float, lambda p: 0.0 < p < 1.0, "a number inside (0, 1)")
+_TOL_HELP = f"quadrature relative tolerance (default {DEFAULT_QUADRATURE.relative_tolerance:g})"
+
+# Each option but the three paths, declared once: its add_argument
+# settings, and for each command that reads it, its argparse type and
+# default. --tol arrives as its QuadratureSpec.
+_OPTIONS: dict[str, tuple[dict[str, str], dict[str, tuple[Callable[[str], Any], Any]]]] = {
+    "--tol": (
+        {"dest": "spec", "metavar": "TOL", "help": _TOL_HELP},
+        dict.fromkeys(COMMANDS, (lambda text: QuadratureSpec(relative_tolerance=_FRACTION(text)), None)),
+    ),
+    "--grid": ({"help": "grid point count (default %(default)s)"}, {
+        "sweep": (_ranged(int, lambda n: n >= 2, "an integer of at least 2"), 21),
+        "dominance": (_ranged(int, lambda n: n >= 64, "an integer of at least 64"), DEFAULT_GRID),
+    }),
+    "--terms": ({"help": "cumulant series terms (default %(default)s)"}, {
+        "approx": (_ranged(int, lambda n: 1 <= n <= 8, "an integer from 1 to 8"), 6),
+    }),
+    "--fractile": ({"help": "fractile rule's level (default %(default)s)"}, {"delegate": (_FRACTION, DEFAULT_FRACTILE)}),
+}
+
+
+@cache  # main may run many times per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aspeq",
@@ -639,10 +646,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--csv", help="write results as CSV to this path")
         p.add_argument("--json", help="write results as JSON to this path")
-        p.add_argument("--tol", type=float, help="quadrature relative tolerance")
-        p.add_argument("--grid", type=int, help="grid point count")
-        p.add_argument("--terms", type=int, help="cumulant series terms")
-        p.add_argument("--fractile", type=float, help="fractile level for delegate")
+        for flag, (settings, readers) in _OPTIONS.items():
+            if name in readers:
+                parse, default = readers[name]
+                p.add_argument(flag, type=parse, default=default, **settings)
     return parser
 
 
@@ -669,7 +676,7 @@ def main(argv: list[str] | None = None, stdout: TextIO | None = None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericsError, CurveError, ArithmeticError, ValueError) as exc:
+    except (NumericsError, CurveError, DomainMismatchError, UnattainableTargetError, CurvatureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     for line in out.lines:

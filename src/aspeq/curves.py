@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -71,7 +71,6 @@ def _kernel(method):
 class Curve:
     lo: float
     hi: float
-    role_hint: str | None = field(default=None, kw_only=True)
 
     kind: ClassVar[str] = ""
     # scenario-file parameter name -> field; a field defaulting to None
@@ -83,10 +82,6 @@ class Curve:
             raise CurveParameterError("interval ends must be finite")
         if self.lo >= self.hi:
             raise CurveParameterError(f"need lo < hi, got [{self.lo!r}, {self.hi!r}]")
-        if self.role_hint not in (None, "lottery", "utility"):
-            raise CurveParameterError(
-                f"role_hint must be 'lottery', 'utility', or omitted, got {self.role_hint!r}"
-            )
         for name in self.params.values():
             value = getattr(self, name)
             # a knot tuple is checked coordinate by coordinate
@@ -313,14 +308,16 @@ class ScaledBeta(Curve):
         return self.lo + self.span * float(betaincinv(self.alpha, self.beta, p))
 
 
+GAMMA_SPAN_CAP = 500.0  # largest |gamma| * span keeping the expm1 terms in double range
+
+
 @dataclass(frozen=True)
 class ExponentialNormalized(Curve):
     """Constant-curvature curve: value(x) = expm1(-g*(x-lo)) / expm1(-g*span).
 
     Positive gamma bends the curve up (concave); negative bends it down.
     gamma = 0 is rejected because the formula degenerates; use Linear for
-    the flat member. |gamma| * span is capped at 500 so the expm1 terms
-    stay inside double range.
+    the flat member. |gamma| * span is capped at GAMMA_SPAN_CAP.
     """
 
     gamma: float = 1.0
@@ -332,9 +329,9 @@ class ExponentialNormalized(Curve):
         super().__post_init__()
         if self.gamma == 0.0:
             raise CurveParameterError("gamma must be nonzero; use the linear kind for gamma=0")
-        if abs(self.gamma) * self.span > 500.0:
+        if abs(self.gamma) * self.span > GAMMA_SPAN_CAP:
             raise CurveParameterError(
-                f"|gamma|*span = {abs(self.gamma) * self.span!r} exceeds 500"
+                f"|gamma|*span = {abs(self.gamma) * self.span!r} exceeds {GAMMA_SPAN_CAP:g}"
             )
         self._cache(_full=math.expm1(-self.gamma * self.span))
 

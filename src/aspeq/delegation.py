@@ -33,6 +33,8 @@ from .duality import (
 )
 from .numerics import QuadratureSpec
 
+DEFAULT_FRACTILE = 0.5
+
 
 @dataclass(frozen=True)
 class TargetUpdate:
@@ -149,7 +151,7 @@ def update_target(
 def desiderata_report(
     lotteries: list[Curve],
     utility: Curve,
-    fractile: float = 0.5,
+    fractile: float = DEFAULT_FRACTILE,
     spec: QuadratureSpec | None = None,
 ) -> DesiderataReport:
     """Compare three target rules on one lottery set.

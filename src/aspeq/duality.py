@@ -33,6 +33,7 @@ from functools import cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .curves import (
+    GAMMA_SPAN_CAP,
     Curve,
     ExponentialNormalized,
     Linear,
@@ -41,6 +42,7 @@ from .curves import (
 )
 from .numerics import (
     DEFAULT_QUADRATURE,
+    NumericsError,
     Product,
     QuadratureSpec,
     RootBracket,
@@ -48,8 +50,6 @@ from .numerics import (
     integrate_many,
     merge_knots,
 )
-
-GAMMA_SPAN_CAP = 500.0
 
 
 def exponential_or_linear(lo: float, hi: float, gamma: float) -> Curve:
@@ -161,7 +161,7 @@ def _invert(curve: Curve, p: float, spec: QuadratureSpec | None) -> float:
     elif 1.0 < p <= 1.0 + slack:
         p = 1.0
     elif not 0.0 <= p <= 1.0:
-        raise ArithmeticError(f"expected a probability, got {p!r}")
+        raise NumericsError(f"expected a probability, got {p!r}")
     return curve.quantile(p)
 
 
@@ -254,7 +254,6 @@ def effective_gamma(
     lottery: Curve,
     target: float,
     spec: QuadratureSpec | None = None,
-    value_tolerance: float = 1e-10,
 ) -> float:
     """Curvature whose exponential utility puts the aspiration equivalent
     of `lottery` at `target`.
@@ -263,7 +262,8 @@ def effective_gamma(
     EDU decreases strictly in gamma (higher curvature concentrates the
     utility density toward the low end, where F is small), so the bracket
     [-1, 1]/span is expanded geometrically toward the side that still
-    disagrees in sign, up to |gamma|*span = 500. gamma = 0 inside the
+    disagrees in sign, up to |gamma|*span = GAMMA_SPAN_CAP; the root takes
+    RootBracket's value tolerance whatever the spec. gamma = 0 inside the
     bracket is evaluated through the linear curve, where the exponential
     formula degenerates.
     """
@@ -301,4 +301,4 @@ def effective_gamma(
             f"no curvature with |gamma|*span <= {GAMMA_SPAN_CAP:g} reaches "
             f"cumulative probability {p!r} at the target"
         )
-    return find_root(gap, RootBracket(g_lo, g_hi, value_tolerance))
+    return find_root(gap, RootBracket(g_lo, g_hi))

@@ -500,14 +500,11 @@ def find_root(g: Callable[[float], float], bracket: RootBracket) -> float:
 
     side = 0
     for _ in range(200):
-        denom = ghi - glo
-        if denom == 0.0:
+        # glo and ghi differ in sign (damping zeroes at most one): ghi - glo != 0
+        x = hi - ghi * (hi - lo) / (ghi - glo)
+        # fall back to bisection when interpolation leaves the interval
+        if not (lo < x < hi):
             x = 0.5 * (lo + hi)
-        else:
-            x = hi - ghi * (hi - lo) / denom
-            # fall back to bisection when interpolation leaves the interval
-            if not (lo < x < hi):
-                x = 0.5 * (lo + hi)
         gx = g(x)
         if abs(gx) <= tol:
             return x

@@ -14,9 +14,9 @@ Schema:
 
 Each curve kind's parameter names are the keys of its class's `params`
 map in curves; piecewise_linear takes its knots as [[x, value], ...].
-Any other key on a curve entry (besides name/kind/role_hint) is rejected,
-as is any malformed or non-finite value; errors carry the JSON path of
-the offending field. An optional "published" list of {"key", "value",
+Any other key on a curve entry (besides name and kind) is rejected, as
+is any malformed or non-finite value; errors carry the JSON path of the
+offending field. An optional "published" list of {"key", "value",
 "tolerance"} entries rides along for the comparison block in CLI output:
 key is a string naming a computed quantity (e.g. "eu:f1:u1"), tolerance
 is optional. The entries are checked here, before anything is computed.
@@ -87,7 +87,7 @@ def _number(obj: Any, path: str) -> float:
     return float(obj)
 
 
-def _parse_curve(obj: Any, lo: float, hi: float, path: str, role: str) -> NamedCurve:
+def _parse_curve(obj: Any, lo: float, hi: float, path: str) -> NamedCurve:
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object, got {type(obj).__name__}")
     name = obj.get("name")
@@ -98,7 +98,7 @@ def _parse_curve(obj: Any, lo: float, hi: float, path: str, role: str) -> NamedC
         known = ", ".join(sorted(CURVE_KINDS))
         raise ScenarioError(f"{path}.kind: unknown kind {kind!r} (have: {known})")
     cls = CURVE_KINDS[kind]
-    extra = set(obj) - {"name", "kind", "role_hint"} - set(cls.params)
+    extra = set(obj) - {"name", "kind"} - set(cls.params)
     if extra:
         raise ScenarioError(
             f"{path}: unexpected keys for kind {kind!r}: {sorted(extra)}"
@@ -131,22 +131,18 @@ def _parse_curve(obj: Any, lo: float, hi: float, path: str, role: str) -> NamedC
         else:
             kwargs[ctor_name] = _number(raw, f"{path}.{json_name}")
     try:
-        curve = cls(lo, hi, role_hint=obj.get("role_hint", role), **kwargs)
+        curve = cls(lo, hi, **kwargs)
     except CurveParameterError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     return NamedCurve(name=name, curve=curve)
 
 
-def _parse_curve_list(
-    obj: Any, lo: float, hi: float, key: str, role: str
-) -> tuple[NamedCurve, ...]:
+def _parse_curve_list(obj: Any, lo: float, hi: float, key: str) -> tuple[NamedCurve, ...]:
     if obj is None:
         return ()
     if not isinstance(obj, list):
         raise ScenarioError(f"{key}: expected a list")
-    entries = tuple(
-        _parse_curve(item, lo, hi, f"{key}[{i}]", role) for i, item in enumerate(obj)
-    )
+    entries = tuple(_parse_curve(item, lo, hi, f"{key}[{i}]") for i, item in enumerate(obj))
     names = [nc.name for nc in entries]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
@@ -186,8 +182,8 @@ def parse_scenario(obj: Any) -> Scenario:
     unit = domain.get("unit", "")
     if not isinstance(unit, str):
         raise ScenarioError("domain.unit: expected a string")
-    lotteries = _parse_curve_list(obj.get("lotteries"), lo, hi, "lotteries", "lottery")
-    utilities = _parse_curve_list(obj.get("utilities"), lo, hi, "utilities", "utility")
+    lotteries = _parse_curve_list(obj.get("lotteries"), lo, hi, "lotteries")
+    utilities = _parse_curve_list(obj.get("utilities"), lo, hi, "utilities")
     params = {
         k: v
         for k, v in obj.items()

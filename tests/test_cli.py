@@ -20,6 +20,15 @@ def run(*argv):
     return code, buf.getvalue()
 
 
+def refused(capsys, *argv):
+    """stderr of a command line argparse refuses: exit 2, before any
+    scenario is read."""
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 def write_scenario(tmp_path, obj, name="scenario.json"):
     p = tmp_path / name
     p.write_text(json.dumps(obj), encoding="utf-8")
@@ -109,9 +118,7 @@ class TestEval:
 
     def test_tol_flag_validated(self, tmp_path, capsys):
         path = write_scenario(tmp_path, BASIC)
-        code, _ = run("eval", "--scenario", path, "--tol", "2.0")
-        assert code == 2
-        assert "--tol" in capsys.readouterr().err
+        assert "argument --tol" in refused(capsys, "eval", "--scenario", path, "--tol", "2.0")
         assert run("eval", "--scenario", path, "--tol", "1e-6")[0] == 0
 
 
@@ -130,14 +137,33 @@ class TestSweep:
         rows = [l for l in text.splitlines() if l and not l.startswith("gamma")]
         assert len(rows) == 21
 
-    def test_grid_flag(self, tmp_path):
+    def test_grid_flag(self, tmp_path, capsys):
         obj = dict(BASIC, gamma_range=[-1.0, 1.0])
         path = write_scenario(tmp_path, obj)
         code, text = run("sweep", "--scenario", path, "--grid", "5")
         assert code == 0
         rows = [l for l in text.splitlines() if l and not l.startswith("gamma")]
         assert len(rows) == 5
-        assert run("sweep", "--scenario", path, "--grid", "1")[0] == 2
+        assert "argument --grid" in refused(capsys, "sweep", "--scenario", path, "--grid", "1")
+        # checked while parsing, so explicit gammas do not excuse it
+        path = write_scenario(tmp_path, dict(BASIC, gammas=[1.0]))
+        assert "argument --grid" in refused(capsys, "sweep", "--scenario", path, "--grid", "1")
+
+    @pytest.mark.parametrize(
+        "source,message",
+        [
+            ({"gammas": [1.0, 600.0]}, "gammas[1]: |gamma|*span = 600.0 exceeds 500"),
+            # the first grid point past the cap: 1 + 599 * 17/20
+            ({"gamma_range": [1.0, 600.0]}, "gamma_range: |gamma|*span = 510.15 exceeds 500"),
+        ],
+    )
+    def test_gamma_past_cap_is_bad_input(self, tmp_path, capsys, quadrature_batches, source, message):
+        # refused while the gammas are read, before any quadrature
+        code, text = run("sweep", "--scenario", write_scenario(tmp_path, dict(BASIC, **source)))
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert quadrature_batches == []
 
     def test_needs_gamma_source(self, tmp_path, capsys):
         code, _ = run("sweep", "--scenario", write_scenario(tmp_path, BASIC))
@@ -177,6 +203,32 @@ class TestMatrix:
         for tag in ("EU", "EDU", "CE", "AE"):
             assert tag in text.splitlines()
         assert "pure saddle of the EU matrix" in text
+
+    def test_no_pure_saddle(self, tmp_path):
+        # each lottery does best under a different utility, and each
+        # utility scores a different lottery higher: no cell is both its
+        # column's maximum and its row's minimum
+        obj = {
+            "domain": {"lo": 0.0, "hi": 1.0},
+            "lotteries": [
+                {"name": "middle", "kind": "truncated_gaussian", "mu": 0.5, "sigma": 0.02},
+                {"name": "ends", "kind": "piecewise_linear",
+                 "knots": [[0.0, 0.0], [0.2, 0.5], [0.8, 0.5], [1.0, 1.0]]},
+            ],
+            "utilities": [
+                {"name": "concave", "kind": "piecewise_linear",
+                 "knots": [[0.0, 0.0], [0.45, 0.7], [1.0, 1.0]]},
+                {"name": "edges", "kind": "piecewise_linear",
+                 "knots": [[0.0, 0.0], [0.1, 0.5], [0.85, 0.5], [0.9, 1.0], [1.0, 1.0]]},
+            ],
+        }
+        out = tmp_path / "matrix.json"
+        code, text = run("matrix", "--scenario", write_scenario(tmp_path, obj), "--json", str(out))
+        assert code == 0
+        assert "no pure saddle: maximin 0.550505051 < minimax 0.59375" in text.splitlines()
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["saddle"] is None
+        assert doc["maximin"] < doc["minimax"]
 
 
 class TestAllocate:
@@ -220,9 +272,9 @@ class TestDominance:
         assert code == 0
         assert "steep dominates flat: no" in text
 
-    def test_grid_minimum(self, tmp_path):
+    def test_grid_minimum(self, tmp_path, capsys):
         path = write_scenario(tmp_path, self.SCEN)
-        assert run("dominance", "--scenario", path, "--grid", "10")[0] == 2
+        assert "argument --grid" in refused(capsys, "dominance", "--scenario", path, "--grid", "10")
 
     def test_needs_two_utilities(self, tmp_path):
         code, _ = run("dominance", "--scenario", write_scenario(tmp_path, BASIC))
@@ -244,12 +296,23 @@ class TestApprox:
         assert "ce_exact" in text and "ae_exact" in text
         assert "cumulant series (6 terms)" in text
 
-    def test_terms_flag(self, tmp_path):
+    def test_terms_flag(self, tmp_path, capsys):
         path = write_scenario(tmp_path, self.SCEN)
         code, text = run("approx", "--scenario", path, "--terms", "3")
         assert code == 0
         assert "cumulant series (3 terms)" in text
-        assert run("approx", "--scenario", path, "--terms", "9")[0] == 2
+        assert "argument --terms" in refused(capsys, "approx", "--scenario", path, "--terms", "9")
+
+    def test_diverging_series_warned(self, tmp_path):
+        # a lottery rate of 5 on [0, 3] against curvature 2 (acceptance 12)
+        obj = {
+            "domain": {"lo": 0.0, "hi": 3.0},
+            "lotteries": [{"name": "exp5", "kind": "exponential_normalized", "gamma": 5.0}],
+            "utilities": [{"name": "exp2", "kind": "exponential_normalized", "gamma": 2.0}],
+        }
+        code, text = run("approx", "--scenario", write_scenario(tmp_path, obj))
+        assert code == 0
+        assert "  warning: series terms grow past k=3, not converging" in text.splitlines()
 
     def test_no_series_for_other_lotteries(self, tmp_path):
         code, text = run("approx", "--scenario", write_scenario(tmp_path, BASIC))
@@ -314,6 +377,18 @@ class TestSolveGamma:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["1e-3", "1e-6"])
+    def test_same_gamma_as_update_target(self, tol):
+        # --tol is the quadrature tolerance alone: the root's own
+        # tolerance does not move with it
+        path = str(FIXTURES / "paper_sec4.json")
+        gammas = []
+        for command in ("solve-gamma", "update-target"):
+            code, text = run(command, "--scenario", path, "--tol", tol)
+            assert code == 0
+            gammas += [l for l in text.splitlines() if l.startswith("effective gamma:")]
+        assert len(gammas) == 2 and gammas[0] == gammas[1]
+
 
 class TestDelegate:
     SCEN = {
@@ -333,16 +408,71 @@ class TestDelegate:
         assert "rule certain_equivalent:" in text
         assert "rule aspiration_equivalent:" in text
 
-    def test_fractile_flag(self, tmp_path):
+    def test_fractile_flag(self, tmp_path, capsys):
         path = write_scenario(tmp_path, self.SCEN)
         code, text = run("delegate", "--scenario", path, "--fractile", "0.25")
         assert code == 0
         assert "rule fractile(0.25):" in text
-        assert run("delegate", "--scenario", path, "--fractile", "1.5")[0] == 2
+        assert "argument --fractile" in refused(capsys, "delegate", "--scenario", path, "--fractile", "1.5")
 
     def test_needs_two_lotteries(self, tmp_path):
         code, _ = run("delegate", "--scenario", write_scenario(tmp_path, BASIC))
         assert code == 2
+
+
+class TestOptionSurface:
+    """Each command's parser has the options that command reads, with
+    their defaults, and refuses every other option."""
+
+    READS = {
+        "eval": {},
+        "sweep": {"grid": 21},
+        "update-target": {},
+        "matrix": {},
+        "allocate": {},
+        "dominance": {"grid": 2048},
+        "approx": {"terms": 6},
+        "solve-gamma": {},
+        "delegate": {"fractile": 0.5},
+    }
+    UNREAD = [
+        (command, option)
+        for command, reads in READS.items()
+        for option in ("grid", "terms", "fractile")
+        if option not in reads
+    ]
+
+    def test_options_and_defaults(self):
+        from aspeq.cli import COMMANDS, _build_parser
+
+        assert set(COMMANDS) == set(self.READS)
+        settable = 0
+        for command, reads in self.READS.items():
+            args = vars(_build_parser().parse_args([command, "--scenario", "s.json"]))
+            paths = {"scenario": "s.json", "csv": None, "json": None}
+            assert args == {"command": command, **paths, "spec": None, **reads}
+            settable += len(args) - 1
+        assert settable == 40
+
+    def test_unread_pairs(self):
+        assert len(self.UNREAD) == 23
+
+    @pytest.mark.parametrize("command,option", UNREAD)
+    def test_unread_option_refused(self, capsys, command, option):
+        err = refused(capsys, command, "--scenario", "never_read.json", f"--{option}", "3")
+        assert f"unrecognized arguments: --{option} 3" in err
+
+
+class TestExitCodes:
+    def test_bare_value_error_is_a_bug_not_exit_3(self, tmp_path, monkeypatch):
+        import aspeq.cli
+
+        def broken(scenario, args):
+            raise ValueError("a programming error")
+
+        monkeypatch.setitem(aspeq.cli._HANDLERS, "eval", broken)
+        with pytest.raises(ValueError, match="a programming error"):
+            run("eval", "--scenario", write_scenario(tmp_path, BASIC))
 
 
 class TestFileOutputs:

@@ -11,6 +11,7 @@ from aspeq import (
     ExponentialNormalized,
     Linear,
     LogWealth,
+    PiecewiseLinear,
     ScaledBeta,
     SingularDensityError,
     Step,
@@ -28,7 +29,7 @@ from aspeq import (
     exponential_or_linear,
 )
 from aspeq.duality import GAMMA_SPAN_CAP, _invert, evaluate_pairs
-from aspeq.numerics import QuadratureSpec
+from aspeq.numerics import NumericsError, QuadratureSpec
 
 
 def oracle_pair(pdf, Ucdf, updf, Fcdf, lo, hi, splits=()):
@@ -290,6 +291,12 @@ class TestEffectiveGamma:
         with pytest.raises(UnattainableTargetError):
             effective_gamma(F, 1e-5)
 
+    def test_target_in_zero_mass_tail_rejected(self):
+        # no mass below 0.3: every curvature puts the AE above the target
+        F = PiecewiseLinear(0.0, 1.0, points=((0.0, 0.0), (0.3, 0.0), (1.0, 1.0)))
+        with pytest.raises(UnattainableTargetError, match="zero-mass tail"):
+            effective_gamma(F, 0.2)
+
     def test_monotone_in_target(self):
         F = ScaledBeta(0.0, 1.0, alpha=3.0, beta=3.0)
         gs = [effective_gamma(F, t) for t in (0.3, 0.4, 0.5, 0.6)]
@@ -375,13 +382,13 @@ class TestInvertSlack:
     def test_beyond_budget_raises(self, tol):
         spec = QuadratureSpec(relative_tolerance=tol)
         u = Uniform(0.0, 10.0)
-        with pytest.raises(ArithmeticError, match="expected a probability"):
+        with pytest.raises(NumericsError, match="expected a probability"):
             _invert(u, 1.0 + 1.1 * tol, spec)
-        with pytest.raises(ArithmeticError, match="expected a probability"):
+        with pytest.raises(NumericsError, match="expected a probability"):
             _invert(u, -1.1 * tol, spec)
 
     def test_default_spec_keeps_its_slack(self):
         u = Uniform(0.0, 10.0)
         assert _invert(u, 1.0 + 5e-10, None) == 10.0
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(NumericsError):
             _invert(u, 1.0 + 2e-9, None)

@@ -20,6 +20,7 @@ from aspeq import DomainError, ExponentialNormalized, LogWealth, ScaledBeta, Tri
 from aspeq.duality import _pair_job, evaluate_pairs
 from aspeq.numerics import (
     BracketError,
+    ConvergenceError,
     NormalizationError,
     Product,
     QuadratureError,
@@ -136,6 +137,24 @@ class TestFindRoot:
             RootBracket(1.0, 0.0)
         with pytest.raises(ValueError):
             RootBracket(0.0, 1.0, value_tolerance=0.0)
+
+    def test_bisects_where_interpolation_leaves_the_bracket(self):
+        # g(hi) dwarfs g(lo), so the secant lands on lo itself
+        g = lambda x: (x - 0.3) * (1e30 if x > 0.3 else 1.0)
+        r = find_root(g, RootBracket(0.0, 1.0))
+        assert abs(g(r)) <= 1e-10
+
+    def test_collapsed_bracket_raises(self):
+        # a jump, not a root: the bracket shrinks onto it, |g| stays 1
+        with pytest.raises(ConvergenceError, match="bracket collapsed at x=0.5"):
+            find_root(lambda x: -1.0 if x < 0.5 else 1.0, RootBracket(0.0, 1.0))
+
+    def test_step_limit_raises(self):
+        # each secant step is nan, so each step bisects; halving 1e300
+        # 200 times leaves the bracket far from collapsed
+        g = lambda x: -1.0 if x < 0.5 else math.inf
+        with pytest.raises(ConvergenceError, match="did not converge in 200 steps"):
+            find_root(g, RootBracket(0.0, 1e300))
 
     def test_steep_flat_mix(self):
         # flat shelf then steep wall; Illinois damping has to cut through

@@ -96,11 +96,19 @@ class TestParamMapping:
         obj = minimal(lotteries=[{"name": "t", "kind": "triangular", "mode": 0.2}])
         assert parse_scenario(obj).lottery("t").mode == 0.2
 
-    def test_role_hint_forwarded(self):
+    def test_role_hint_refused(self):
         obj = minimal(
             lotteries=[{"name": "u", "kind": "uniform", "role_hint": "utility"}]
         )
-        assert parse_scenario(obj).lottery("u").role_hint == "utility"
+        message = "lotteries[0]: unexpected keys for kind 'uniform': ['role_hint']"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            parse_scenario(obj)
+
+    def test_one_curve_in_both_lists_is_one_curve(self):
+        # a curve is its kind, domain and parameters, whichever list holds it
+        obj = minimal(utilities=[{"name": "v", "kind": "uniform"}])
+        scenario = parse_scenario(obj)
+        assert scenario.lottery("u") == scenario.utility("v")
 
 
 class TestSchemaErrors:

@@ -132,6 +132,17 @@ class TestMatrixAgainstCellLoop:
         assert _batched_matrix(LOTS, UTS, spec) == want
 
 
+class TestAllocateEuMatrix:
+    def test_maximin_fallback_without_saddle(self):
+        # row mins 0.3 and 0.5, column maxima 0.9 and 0.6: no pure saddle,
+        # so stage 0 takes the maximin row 1 and its smallest column 0
+        alloc = allocate_eu_matrix([[0.9, 0.3], [0.5, 0.6]])
+        assert alloc.pairs == ((1, 0, 0.5), (0, 1, 0.3))
+        first, second = alloc.stage_diagnostics
+        assert (first.pure_saddle, first.maximin, first.minimax) == (False, 0.5, 0.6)
+        assert second.pure_saddle
+
+
 class TestFindPureSaddle:
     def test_known_saddle(self):
         m = [[4.0, 3.0, 8.0], [9.0, 5.0, 6.0], [2.0, 1.0, 7.0]]
