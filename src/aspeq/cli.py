@@ -38,15 +38,9 @@ from .approximations import (
 )
 from .curves import Curve, CurveError, CurveParameterError, ExponentialNormalized
 from .delegation import DEFAULT_FRACTILE, desiderata_report, update_target
-from .dominance import (
-    DEFAULT_GRID,
-    dominance_implications,
-    exponential_chain,
-    first_order_dominates,
-    second_order_dominates,
-)
-from .duality import DomainMismatchError, UnattainableTargetError, _certain_from, _pair_values
-from .duality import aspiration_equivalent, effective_gamma, evaluate_pairs, exponential_or_linear
+from .dominance import DEFAULT_GRID, dominance_report
+from .duality import DomainMismatchError, UnattainableTargetError, _aspiration_from, _certain_from
+from .duality import _effective_root, _pair_values, evaluate_pairs, exponential_or_linear
 from .numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureSpec
 from .scenarios import Scenario, ScenarioError, _number, load_scenario
 from .selection import EvalMatrix, allocate_eu_matrix, allocation_sums, evaluate_matrix, find_pure_saddle
@@ -268,7 +262,7 @@ def _cmd_update_target(scenario: Scenario, args: argparse.Namespace) -> _Out:
     new = scenario.lottery(new_name)
     upd = update_target(old, target, new, args.spec)
     u = exponential_or_linear(scenario.lo, scenario.hi, upd.effective_gamma)
-    round_trip = abs(aspiration_equivalent(old, u, args.spec) - target)
+    round_trip = abs(upd.round_trip_target - target)
     limit = 1e-5 * (scenario.hi - scenario.lo)
     verdict = "PASS" if round_trip <= limit else "FAIL"
     rt = u.tolerance_at(scenario.lo)
@@ -381,8 +375,9 @@ def _cmd_dominance(scenario: Scenario, args: argparse.Namespace) -> _Out:
     A = scenario.utility(first)
     B = scenario.utility(second)
 
+    report = dominance_report(A, B, [nc.curve for nc in scenario.lotteries], args.grid, args.spec)
+    verdict, second_order = report.first_order, report.second_order
     out = _Out()
-    verdict = first_order_dominates(A, B, args.grid)
     out.computed["dominates"] = 1.0 if verdict.dominates else 0.0
     out.computed["max_violation"] = verdict.max_violation
     out.line(
@@ -392,7 +387,6 @@ def _cmd_dominance(scenario: Scenario, args: argparse.Namespace) -> _Out:
     )
     if verdict.strict_witness is not None:
         out.line(f"  strict at x = {_fmt(verdict.strict_witness)}")
-    second_order = second_order_dominates(A, B, args.grid)
     out.line(
         f"second-order (integrated, analog-derived): "
         f"{'yes' if second_order.dominates else 'no'} "
@@ -407,16 +401,14 @@ def _cmd_dominance(scenario: Scenario, args: argparse.Namespace) -> _Out:
     out.row("quantity", "lottery", "value")
     out.row("first_order_dominates", "", verdict.dominates)
     out.row("max_violation", "", verdict.max_violation)
-    if verdict.dominates and scenario.lotteries:
-        report = dominance_implications(
-            A, B, [nc.curve for nc in scenario.lotteries], args.grid, args.spec
-        )
+    implications = report.implications
+    if implications is not None:
         out.line(
             f"implication margins vs each lottery "
-            f"(nonnegative expected, tolerance {_fmt(report.tolerance)}):"
+            f"(nonnegative expected, tolerance {_fmt(implications.tolerance)}):"
         )
         rows = []
-        for nc, m in zip(scenario.lotteries, report.per_lottery):
+        for nc, m in zip(scenario.lotteries, implications.per_lottery):
             margins = asdict(m)
             out.line(
                 f"  {nc.name}: edu {_fmt(m.edu_margin)}, ae {_fmt(m.ae_margin)}, "
@@ -426,27 +418,24 @@ def _cmd_dominance(scenario: Scenario, args: argparse.Namespace) -> _Out:
                 out.row(quantity, nc.name, value)
                 out.computed[f"{quantity}:{nc.name}"] = value
             rows.append({"lottery": nc.name, **margins})
-        out.line(f"utility-density mean margin: {_fmt(report.mean_margin)}")
-        out.line(f"all implications hold: {'yes' if report.all_hold else 'no'}")
+        out.line(f"utility-density mean margin: {_fmt(implications.mean_margin)}")
+        out.line(f"all implications hold: {'yes' if implications.all_hold else 'no'}")
         out.doc["implications"] = {
-            "mean_margin": report.mean_margin,
+            "mean_margin": implications.mean_margin,
             "per_lottery": rows,
-            "all_hold": report.all_hold,
+            "all_hold": implications.all_hold,
         }
-    if isinstance(A, ExponentialNormalized) and isinstance(B, ExponentialNormalized):
-        g_lo, g_hi = sorted((A.gamma, B.gamma))
-        names = ("pointwise_margin", "eu_margin", "ae_margin", "ce_margin")
-        chains = []
-        for nc in scenario.lotteries:
-            chain = exponential_chain(g_lo, g_hi, nc.curve, args.grid, args.spec)
-            out.line(
-                f"exponential chain on {nc.name} (gamma {_fmt(g_lo)} vs {_fmt(g_hi)}): "
-                f"pointwise {_fmt(chain.pointwise_margin)}, eu {_fmt(chain.eu_margin)}, "
-                f"ae {_fmt(chain.ae_margin)}, ce {_fmt(chain.ce_margin)}"
-            )
-            chains.append({"lottery": nc.name, **dict(zip(names, chain.margins()))})
-        if chains:
-            out.doc["exponential_chain"] = chains
+    names = ("pointwise_margin", "eu_margin", "ae_margin", "ce_margin")
+    chains = []
+    for nc, chain in zip(scenario.lotteries, report.chains):
+        out.line(
+            f"exponential chain on {nc.name} (gamma {_fmt(chain.gamma_a)} vs {_fmt(chain.gamma_b)}): "
+            f"pointwise {_fmt(chain.pointwise_margin)}, eu {_fmt(chain.eu_margin)}, "
+            f"ae {_fmt(chain.ae_margin)}, ce {_fmt(chain.ce_margin)}"
+        )
+        chains.append({"lottery": nc.name, **dict(zip(names, chain.margins()))})
+    if chains:
+        out.doc["exponential_chain"] = chains
     return out
 
 
@@ -523,9 +512,9 @@ def _cmd_solve_gamma(scenario: Scenario, args: argparse.Namespace) -> _Out:
     else:
         name = _need(scenario, "lottery")
     f = scenario.lottery(name)
-    g = effective_gamma(f, target, args.spec)
+    g, edu = _effective_root(f, target, args.spec)
     u = exponential_or_linear(scenario.lo, scenario.hi, g)
-    achieved = aspiration_equivalent(f, u, args.spec)
+    achieved = _aspiration_from(f, edu, args.spec)
     rt = u.tolerance_at(scenario.lo)
     out = _Out()
     out.line(f"lottery {name}, target {_fmt(target)}")

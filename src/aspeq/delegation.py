@@ -23,10 +23,10 @@ from .curves import Curve
 from .duality import (
     DomainMismatchError,
     _aspiration_from,
+    _effective_root,
     _pair_values,
     _through_first,
     aspiration_equivalent,
-    effective_gamma,
     evaluate_pairs,
     exceedance_probability,
     exponential_or_linear,
@@ -45,6 +45,7 @@ class TargetUpdate:
     new_target: float
     old_exceed_prob: float
     new_exceed_prob: float
+    round_trip_target: float
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,11 @@ def update_target(
     new lottery's aspiration equivalent at that same gamma. Keeping the
     same raw number under a better forecast would silently raise the bar;
     keeping gamma keeps the delegate's incentive unchanged.
+
+    Hands back, with the new target and both exceedance probabilities,
+    round_trip_target: the old lottery's aspiration equivalent at gamma,
+    read from the EDU the root search already integrated there. Its
+    distance from old_target checks the solve.
     """
     if (old_lottery.lo, old_lottery.hi) != (new_lottery.lo, new_lottery.hi):
         raise DomainMismatchError(
@@ -134,7 +140,7 @@ def update_target(
             f"new on [{new_lottery.lo!r}, {new_lottery.hi!r}]; the curvature "
             "carried over is only meaningful on one shared interval"
         )
-    g = effective_gamma(old_lottery, old_target, spec)
+    g, old_edu = _effective_root(old_lottery, old_target, spec)
     u = exponential_or_linear(new_lottery.lo, new_lottery.hi, g)
     new_target = aspiration_equivalent(new_lottery, u, spec)
     return TargetUpdate(
@@ -145,6 +151,7 @@ def update_target(
         new_target=new_target,
         old_exceed_prob=exceedance_probability(old_lottery, old_target),
         new_exceed_prob=exceedance_probability(new_lottery, new_target),
+        round_trip_target=_aspiration_from(old_lottery, old_edu, spec),
     )
 
 

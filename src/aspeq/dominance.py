@@ -13,21 +13,27 @@ to end.
 Certification is numerical: a dense grid joined with every declared kink,
 compared at absolute tolerance 1e-9, with the worst wrong-signed gap
 reported so borderline calls are auditable.
+
+dominance_report runs all of these for one pair of utilities from one
+comparison grid and one pair batch: the verdicts and chains read A's and
+B's values on that grid, and the implications and chains read each
+lottery's EU and EDU under A and B from one integrate_many batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .curves import Curve, StepFunctionError
+from .curves import Curve, ExponentialNormalized, StepFunctionError
 from .duality import (
     DomainMismatchError,
     _aspiration_from,
+    _certain_from,
     _pair_values,
     _through_first,
-    evaluate_pairs,
     exponential_or_linear,
 )
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate, merge_knots
@@ -88,7 +94,23 @@ class ChainReport:
         return (self.pointwise_margin, self.eu_margin, self.ae_margin, self.ce_margin)
 
 
-def _grid(A: Curve, B: Curve, grid_points: int) -> np.ndarray:
+@dataclass(frozen=True)
+class DominanceReport:
+    """One comparison of utility A against B: both verdicts, the
+    implications (None unless A dominates B and there are lotteries),
+    and one exponential chain per lottery when A and B are exponential."""
+
+    first_order: DominanceVerdict
+    second_order: DominanceVerdict
+    implications: ImplicationReport | None
+    chains: tuple[ChainReport, ...]
+
+
+def _on_grid(
+    A: Curve, B: Curve, grid_points: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The comparison grid (grid_points even steps joined with every
+    declared kink) and A's and B's values on it."""
     if (A.lo, A.hi) != (B.lo, B.hi):
         raise DomainMismatchError(
             f"curves live on different intervals: [{A.lo!r}, {A.hi!r}] vs "
@@ -100,7 +122,20 @@ def _grid(A: Curve, B: Curve, grid_points: int) -> np.ndarray:
     knots = merge_knots(A.kinks(), B.kinks())
     if knots:
         xs = np.unique(np.concatenate([xs, np.asarray(knots)]))
-    return xs
+    return xs, A.value(xs), B.value(xs)
+
+
+def _verdict(xs: np.ndarray, gaps: np.ndarray, tolerance: float) -> DominanceVerdict:
+    """Dominance when no gap exceeds the tolerance and one falls below
+    -tolerance, witnessed where the gap is lowest."""
+    max_violation = float(max(gaps.max(), 0.0))
+    strict = gaps < -tolerance
+    witness = float(xs[int(np.argmin(gaps))]) if bool(strict.any()) else None
+    return DominanceVerdict(
+        dominates=max_violation <= tolerance and witness is not None,
+        strict_witness=witness,
+        max_violation=max_violation,
+    )
 
 
 def first_order_dominates(
@@ -112,16 +147,112 @@ def first_order_dominates(
     utility dominance, for lotteries it is first-order stochastic
     dominance of A over B (A's CDF sits below B's).
     """
-    xs = _grid(A, B, grid_points)
-    diff = A.value(xs) - B.value(xs)
-    max_violation = float(max(diff.max(), 0.0))
-    strict = diff < -GRID_TOLERANCE
-    witness = float(xs[int(np.argmin(diff))]) if bool(strict.any()) else None
-    return DominanceVerdict(
-        dominates=max_violation <= GRID_TOLERANCE and witness is not None,
-        strict_witness=witness,
-        max_violation=max_violation,
-    )
+    return _report(A, B, (), grid_points, None, False, None).first_order
+
+
+def second_order_dominates(
+    A: Curve, B: Curve, grid_points: int = DEFAULT_GRID
+) -> DominanceVerdict:
+    """Integrated ordering: the running integral of A - B from the left
+    end must stay nonpositive, strictly negative somewhere. Pointwise
+    dominance implies this; crossing curves are adjudicated by where the
+    accumulated area lands."""
+    return _report(A, B, (), grid_points, None, False, None).second_order
+
+
+def _report(
+    A: Curve,
+    B: Curve,
+    lotteries: Sequence[Curve],
+    grid_points: int,
+    spec: QuadratureSpec | None,
+    implied: bool,
+    gammas: tuple[float, float] | None,
+) -> DominanceReport:
+    """A against B from one grid and one pair batch: both verdicts (the
+    second-order one on the running integral of A - B), the implications
+    if implied and A dominates B, and given A's and B's gammas, each
+    lottery's exponential chain.
+
+    The batch holds each lottery's EU and EDU under A and under B, up to
+    the first step lottery (whose aspiration equivalent raises), in the
+    order their first reader reads them: the implications when they run,
+    else the chains. So each value and the first error are what reading
+    one lottery at a time gives, and the chains find read values stored.
+    """
+    xs, a, b = _on_grid(A, B, grid_points)
+    diff = a - b
+    verdict = _verdict(xs, diff, GRID_TOLERANCE)
+    running = np.concatenate([[0.0], np.cumsum(0.5 * (diff[1:] + diff[:-1]) * np.diff(xs))])
+    second_order = _verdict(xs, running, GRID_TOLERANCE * max(1.0, A.hi - A.lo))
+    implied = implied and verdict.dominates
+    swapped = gammas is not None and gammas[0] > gammas[1]
+    flat, steep = (B, A) if swapped else (A, B)
+    if implied:
+        order = ((A, "edu"), (B, "edu"), (B, "eu"), (A, "eu"))
+    else:
+        order = ((flat, "eu"), (flat, "edu"), (steep, "eu"), (steep, "edu"))
+    keys = [
+        (k, U, role)
+        for k in range(len(_through_first(lotteries, lambda f: f.is_step)))
+        for U, role in order
+    ]
+    values = _pair_values([(lotteries[k], U, role) for k, U, role in keys], spec)
+    pending, read = iter(keys), {}
+
+    def value(k: int, U: Curve, role: str) -> float:
+        while (k, U, role) not in read:  # every job before it, in batch order
+            read[next(pending)] = next(values)
+        return read[k, U, role]
+
+    implications = None
+    if implied:
+        margins = []
+        for k, f in enumerate(lotteries):
+            edu_a, edu_b = value(k, A, "edu"), value(k, B, "edu")
+            ae_margin = _aspiration_from(f, edu_a, spec) - _aspiration_from(f, edu_b, spec)
+            margins.append(LotteryMargins(edu_a - edu_b, ae_margin, value(k, B, "eu") - value(k, A, "eu")))
+        mean_a, _ = A.density_moments(spec)
+        mean_b, _ = B.density_moments(spec)
+        implications = ImplicationReport(
+            verdict=verdict,
+            mean_margin=mean_a - mean_b,
+            per_lottery=tuple(margins),
+            tolerance=2.0 * (spec or DEFAULT_QUADRATURE).relative_tolerance,
+        )
+
+    chains = []
+    if gammas is not None:
+        # steep - flat itself: -diff would turn a 0.0 gap into -0.0
+        pointwise = float(((a - b) if swapped else (b - a)).min())
+
+        def equivalents(k: int, U: Curve) -> tuple[float, float, float]:
+            eu, edu = value(k, U, "eu"), value(k, U, "edu")
+            return eu, _certain_from(U, eu, spec), _aspiration_from(lotteries[k], edu, spec)
+
+        for k in range(len(lotteries)):
+            (eu_a, ce_a, ae_a), (eu_b, ce_b, ae_b) = (equivalents(k, U) for U in (flat, steep))
+            chains.append(
+                ChainReport(*sorted(gammas), pointwise, eu_b - eu_a, ae_a - ae_b, ce_a - ce_b)
+            )
+    return DominanceReport(verdict, second_order, implications, tuple(chains))
+
+
+def dominance_report(
+    A: Curve,
+    B: Curve,
+    lotteries: Sequence[Curve],
+    grid_points: int = DEFAULT_GRID,
+    spec: QuadratureSpec | None = None,
+) -> DominanceReport:
+    """first_order_dominates and second_order_dominates of A over B;
+    dominance_implications against the lotteries when A dominates B;
+    and when A and B are both exponential, exponential_chain of their
+    gammas on each lottery. One grid and one pair batch serve them all;
+    each value, and the first error, is what the separate calls give."""
+    exponential = isinstance(A, ExponentialNormalized) and isinstance(B, ExponentialNormalized)
+    gammas = (A.gamma, B.gamma) if exponential else None
+    return _report(A, B, lotteries, grid_points, spec, bool(lotteries), gammas)
 
 
 def dominance_implications(
@@ -135,36 +266,14 @@ def dominance_implications(
     every test lottery: higher expected disutility, higher aspiration
     equivalent, lower expected utility, plus a higher utility-density
     mean overall."""
-    verdict = first_order_dominates(A, B, grid_points)
-    if not verdict.dominates:
+    report = _report(A, B, test_lotteries, grid_points, spec, True, None)
+    if report.implications is None:
         raise ValueError(
             "A does not dominate B on the grid "
-            f"(max violation {verdict.max_violation!r}); the implications "
-            "are only claimed under dominance"
+            f"(max violation {report.first_order.max_violation!r}); the "
+            "implications are only claimed under dominance"
         )
-    # not evaluate_pairs: a step utility has an EU and EDU but no CE; a
-    # step lottery has no AE, so no job after its own is read
-    jobs = [
-        (f, utility, role)
-        for f in _through_first(test_lotteries, lambda f: f.is_step)
-        for utility, role in ((A, "edu"), (B, "edu"), (B, "eu"), (A, "eu"))
-    ]
-    values = _pair_values(jobs, spec)
-    margins = []
-    for f in test_lotteries:
-        edu_a, edu_b = next(values), next(values)
-        ae_margin = _aspiration_from(f, edu_a, spec) - _aspiration_from(f, edu_b, spec)
-        eu_b = next(values)
-        margins.append(LotteryMargins(edu_a - edu_b, ae_margin, eu_b - next(values)))
-    mean_a, _ = A.density_moments(spec)
-    mean_b, _ = B.density_moments(spec)
-    tol = 2.0 * (spec or DEFAULT_QUADRATURE).relative_tolerance
-    return ImplicationReport(
-        verdict=verdict,
-        mean_margin=mean_a - mean_b,
-        per_lottery=tuple(margins),
-        tolerance=tol,
-    )
+    return report.implications
 
 
 def exponential_chain(
@@ -179,46 +288,14 @@ def exponential_chain(
     With gamma_a <= gamma_b the flatter utility A sits below B pointwise,
     so EU_A <= EU_B; the flatter curve aspires higher, AE_A >= AE_B; and
     (specific to this constant-curvature family) its certain equivalent
-    is higher too, CE_A >= CE_B.
+    is higher too, CE_A >= CE_B. This is dominance_report's chain on a
+    list of one lottery.
     """
     if gamma_a > gamma_b:
         raise ValueError(f"need gamma_a <= gamma_b, got {gamma_a!r} > {gamma_b!r}")
     A = exponential_or_linear(F.lo, F.hi, gamma_a)
     B = exponential_or_linear(F.lo, F.hi, gamma_b)
-    xs = _grid(A, B, grid_points)
-    pointwise = float((B.value(xs) - A.value(xs)).min())
-    a, b = evaluate_pairs([(F, A), (F, B)], spec)
-    return ChainReport(
-        gamma_a=gamma_a,
-        gamma_b=gamma_b,
-        pointwise_margin=pointwise,
-        eu_margin=b.expected_utility - a.expected_utility,
-        ae_margin=a.aspiration_equivalent - b.aspiration_equivalent,
-        ce_margin=a.certain_equivalent - b.certain_equivalent,
-    )
-
-
-def second_order_dominates(
-    A: Curve, B: Curve, grid_points: int = DEFAULT_GRID
-) -> DominanceVerdict:
-    """Integrated ordering: the running integral of A - B from the left
-    end must stay nonpositive, strictly negative somewhere. Pointwise
-    dominance implies this; crossing curves are adjudicated by where the
-    accumulated area lands."""
-    xs = _grid(A, B, grid_points)
-    diff = A.value(xs) - B.value(xs)
-    steps = 0.5 * (diff[1:] + diff[:-1]) * np.diff(xs)
-    running = np.concatenate([[0.0], np.cumsum(steps)])
-    span = A.hi - A.lo
-    tol = GRID_TOLERANCE * max(1.0, span)
-    max_violation = float(max(running.max(), 0.0))
-    strict = running < -tol
-    witness = float(xs[int(np.argmin(running))]) if bool(strict.any()) else None
-    return DominanceVerdict(
-        dominates=max_violation <= tol and witness is not None,
-        strict_witness=witness,
-        max_violation=max_violation,
-    )
+    return _report(A, B, [F], grid_points, spec, False, (gamma_a, gamma_b)).chains[0]
 
 
 def first_moment_by_equal_areas(

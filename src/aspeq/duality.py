@@ -266,7 +266,20 @@ def effective_gamma(
     RootBracket's value tolerance whatever the spec. gamma = 0 inside the
     bracket is evaluated through the linear curve, where the exponential
     formula degenerates.
+
+    Returns the curvature alone; _effective_root also hands back the EDU
+    integrated at it, the integral an aspiration equivalent at that
+    curvature reads.
     """
+    return _effective_root(lottery, target, spec)[0]
+
+
+def _effective_root(
+    lottery: Curve, target: float, spec: QuadratureSpec | None
+) -> tuple[float, float]:
+    """effective_gamma, and expected_disutility(lottery, its utility)
+    with the bits of that call: the root is a point the search evaluated,
+    so its EDU is read back, not integrated again."""
     lo, hi = lottery.lo, lottery.hi
     span = hi - lo
     if not lo < target < hi:
@@ -281,10 +294,12 @@ def effective_gamma(
             "target sits in a zero-mass tail"
         )
 
-    @cache  # find_root starts from the bracket ends already evaluated here
+    @cache  # find_root reuses the bracket ends and returns a point evaluated here
+    def edu(g: float) -> float:
+        return expected_disutility(lottery, exponential_or_linear(lo, hi, g), spec)
+
     def gap(g: float) -> float:
-        u = exponential_or_linear(lo, hi, g)
-        return expected_disutility(lottery, u, spec) - p
+        return edu(g) - p
 
     g_lo, g_hi = -1.0 / span, 1.0 / span
     f_lo, f_hi = gap(g_lo), gap(g_hi)
@@ -301,4 +316,5 @@ def effective_gamma(
             f"no curvature with |gamma|*span <= {GAMMA_SPAN_CAP:g} reaches "
             f"cumulative probability {p!r} at the target"
         )
-    return find_root(gap, RootBracket(g_lo, g_hi))
+    g = find_root(gap, RootBracket(g_lo, g_hi))
+    return g, edu(g)

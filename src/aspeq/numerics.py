@@ -484,7 +484,9 @@ def find_root(g: Callable[[float], float], bracket: RootBracket) -> float:
     Illinois-damped false position with a bisection guard; stops when
     |g(x)| <= bracket.value_tolerance. The endpoints must produce values
     of opposite sign (either endpoint already inside tolerance is
-    returned as-is).
+    returned as-is). A bracket that collapses first raises
+    ConvergenceError with |g| as g gave it at the end reported, so every
+    point returned is one where g was evaluated within the tolerance.
     """
     lo, hi, tol = bracket.lo, bracket.hi, bracket.value_tolerance
     glo = g(lo)
@@ -499,6 +501,8 @@ def find_root(g: Callable[[float], float], bracket: RootBracket) -> float:
         )
 
     side = 0
+    # the ends' values as g gave them; glo and ghi are Illinois-damped
+    true_lo, true_hi = glo, ghi
     for _ in range(200):
         # glo and ghi differ in sign (damping zeroes at most one): ghi - glo != 0
         x = hi - ghi * (hi - lo) / (ghi - glo)
@@ -509,22 +513,21 @@ def find_root(g: Callable[[float], float], bracket: RootBracket) -> float:
         if abs(gx) <= tol:
             return x
         if math.copysign(1.0, gx) == math.copysign(1.0, glo):
-            lo, glo = x, gx
+            lo, glo, true_lo = x, gx, gx
             if side == -1:
                 ghi *= 0.5  # Illinois damping against endpoint stagnation
             side = -1
         else:
-            hi, ghi = x, gx
+            hi, ghi, true_hi = x, gx, gx
             if side == +1:
                 glo *= 0.5
             side = +1
         if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-            best = lo if abs(glo) <= abs(ghi) else hi
-            gbest = min(abs(glo), abs(ghi))
-            if gbest <= tol:
-                return best
+            # every value stored at an end was past the tolerance: report
+            # the end the damped values favour, with g's own value there
+            best, gbest = (lo, true_lo) if abs(glo) <= abs(ghi) else (hi, true_hi)
             raise ConvergenceError(
-                f"bracket collapsed at x={best!r} with |g|={gbest:.3e} > {tol:.1e}"
+                f"bracket collapsed at x={best!r} with |g|={abs(gbest):.3e} > {tol:.1e}"
             )
     raise ConvergenceError("root iteration did not converge in 200 steps")
 

@@ -280,6 +280,25 @@ class TestDominance:
         code, _ = run("dominance", "--scenario", write_scenario(tmp_path, BASIC))
         assert code == 2
 
+    @pytest.mark.parametrize("first,dominates", [("flat", True), ("steep", False)])
+    def test_step_lottery_refused_either_way(self, tmp_path, capsys, first, dominates):
+        # the implications meet the step lottery first when flat dominates
+        # steep, the exponential chains when it does not; both refuse its
+        # aspiration equivalent
+        lotteries = [{"name": "tri", "kind": "triangular"}, {"name": "sure", "kind": "step", "x0": 0.4}]
+        obj = dict(self.SCEN, lotteries=lotteries, first=first, second={"flat": "steep", "steep": "flat"}[first])
+        path = write_scenario(tmp_path, obj)
+        code, text = run("dominance", "--scenario", path)
+        assert (code, text) == (3, "")
+        assert capsys.readouterr().err == (
+            "error: aspiration equivalent of a step lottery is degenerate; "
+            "the lottery is the sure amount at its threshold\n"
+        )
+        obj["lotteries"] = lotteries[:1]
+        code, text = run("dominance", "--scenario", write_scenario(tmp_path, obj))
+        assert code == 0
+        assert f"dominates {obj['second']}: {'yes' if dominates else 'no'}" in text
+
 
 class TestApprox:
     SCEN = {
@@ -618,10 +637,15 @@ class TestIntegralsPerCommand:
             ("allocate", "table2", 18),
             # 3 lotteries, one EU and one EDU each
             ("delegate", "table2", 6),
-            # 3 lotteries x (implications + exponential chain) x 4
-            ("dominance", "table2", 24),
-            # bracket ends once each, the root iterations, the achieved check
-            ("solve-gamma", "paper_sec4", 11),
+            # 3 lotteries x A and B x EU and EDU, read by the implications
+            # and the exponential chains alike
+            ("dominance", "table2", 12),
+            # bracket ends once each and the root iterations; the achieved
+            # target reads the root's EDU
+            ("solve-gamma", "paper_sec4", 10),
+            # solve-gamma's root (its EDU gives the round trip) and the new
+            # lottery's aspiration equivalent
+            ("update-target", "paper_sec4", 11),
         ],
     )
     def test_integral_count(self, quadrature_batches, command, fixture, integrals):
@@ -634,10 +658,11 @@ class TestIntegralsPerCommand:
         [
             # desiderata_report: every lottery's EU and EDU
             ("delegate", "table2", 1, 6),
-            # the implications' pairs, A's and B's density moments, then
-            # one exponential chain per lottery (1 in table1, 3 in table2)
-            ("dominance", "table1", 4, 14),
-            ("dominance", "table2", 6, 30),
+            # every lottery's pairs with A and B, read by the implications
+            # and the exponential chains (1 lottery in table1, 3 in
+            # table2), then A's and B's density moments
+            ("dominance", "table1", 3, 10),
+            ("dominance", "table2", 3, 18),
             # the 9 pairs' exact CE and AE in one batch, and 6 curves' moments
             ("approx", "table2", 7, 36),
         ],

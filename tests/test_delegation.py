@@ -67,6 +67,13 @@ class TestUpdateTarget:
         U = exponential_or_linear(0.0, 10.0, upd.effective_gamma)
         assert aspiration_equivalent(self.OLD, U) == pytest.approx(3.0, abs=1e-5 * 10.0)
 
+    def test_round_trip_target_reads_the_root(self):
+        # the old lottery's AE at gamma, bit for bit, from the EDU the root
+        # already integrated
+        upd = update_target(self.OLD, 3.0, self.NEW)
+        U = exponential_or_linear(0.0, 10.0, upd.effective_gamma)
+        assert upd.round_trip_target == aspiration_equivalent(self.OLD, U)
+
     def test_effective_gamma_against_oracle(self):
         import mpmath as mp
 

@@ -17,6 +17,7 @@ from aspeq import (
     Step,
     StepFunctionError,
     Triangular,
+    TruncatedGaussian,
     UnattainableTargetError,
     Uniform,
     aspiration_equivalent,
@@ -28,7 +29,7 @@ from aspeq import (
     expected_utility,
     exponential_or_linear,
 )
-from aspeq.duality import GAMMA_SPAN_CAP, _invert, evaluate_pairs
+from aspeq.duality import GAMMA_SPAN_CAP, _effective_root, _invert, evaluate_pairs
 from aspeq.numerics import NumericsError, QuadratureSpec
 
 
@@ -242,6 +243,24 @@ class TestExceedance:
 
 
 class TestEffectiveGamma:
+    @pytest.mark.parametrize("level", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize(
+        "F",
+        [
+            ScaledBeta(0.0, 200.0, alpha=1.4, beta=3.0),
+            Triangular(0.0, 200.0, mode=40.0),
+            TruncatedGaussian(0.0, 200.0, center=90.0, scale=10.0),
+            PiecewiseLinear(0.0, 200.0, points=((0.0, 0.0), (40.0, 0.1), (100.0, 0.6), (160.0, 0.7), (200.0, 1.0))),
+        ],
+        ids=lambda F: F.kind,
+    )
+    def test_root_edu_is_the_integral_at_the_root(self, F, level):
+        # the EDU the root hands back has the bits of integrating it again
+        target = float(f"{F.quantile(level):.6g}")
+        g, edu = _effective_root(F, target, None)
+        assert g == effective_gamma(F, target)
+        assert edu == expected_disutility(F, exponential_or_linear(0.0, 200.0, g))
+
     def test_round_trip_on_interior_target(self):
         F = ScaledBeta(0.0, 10.0, alpha=4.0, beta=6.0)
         g = effective_gamma(F, 3.0)

@@ -149,6 +149,20 @@ class TestFindRoot:
         with pytest.raises(ConvergenceError, match="bracket collapsed at x=0.5"):
             find_root(lambda x: -1.0 if x < 0.5 else 1.0, RootBracket(0.0, 1.0))
 
+    def test_collapsed_bracket_reports_the_true_value(self):
+        # the Illinois-damped end value would read 4.883e-04
+        with pytest.raises(ConvergenceError, match=r"\|g\|=1\.000e\+00 > 1\.0e-10"):
+            find_root(lambda x: -1.0 if x < 0.5 else 1.0, RootBracket(0.0, 1.0))
+
+    def test_collapsed_bracket_never_returns_past_the_tolerance(self):
+        # a two-sided power function whose damped end value passes the
+        # tolerance while the true one, 3.73e-10, does not
+        r, a, b = 0.7880560252859788, 54.98226678791262, 0.05366039421937378
+        p, q = 0.5267647751798731, 0.5270558944308467
+        g = lambda x: -a * (r - x) ** p if x < r else b * (x - r) ** q
+        with pytest.raises(ConvergenceError, match=r"bracket collapsed .* \|g\|=3\.73\de-10"):
+            find_root(g, RootBracket(0.0, 1.0))
+
     def test_step_limit_raises(self):
         # each secant step is nan, so each step bisects; halving 1e300
         # 200 times leaves the bracket far from collapsed

@@ -10,6 +10,7 @@ import io
 import json
 from dataclasses import asdict, is_dataclass
 
+import numpy as np
 import pytest
 
 from aspeq import (
@@ -28,6 +29,7 @@ from aspeq import (
     choose_by_eu,
     desiderata_report,
     dominance_implications,
+    dominance_report,
     dual_select,
     evaluate_pair,
     exceedance_probability,
@@ -35,12 +37,17 @@ from aspeq import (
     expected_utility,
     exponential_chain,
     exponential_or_linear,
+    first_order_dominates,
     saddle_allocate,
+    second_order_dominates,
 )
 from aspeq.cli import main
 from aspeq.curves import CURVE_KINDS, Curve
 from aspeq.delegation import _argmax
-from aspeq.duality import _aspiration_from
+import aspeq.dominance
+from aspeq.dominance import DEFAULT_GRID
+from aspeq.duality import _aspiration_from, evaluate_pairs
+from aspeq.numerics import QuadratureSpec
 
 LOTS = [
     ScaledBeta(0.0, 1.0, alpha=2.0, beta=8.0),
@@ -213,6 +220,98 @@ class TestOneBatchAgainstTheLoop:
         dominance_implications(A, B, LOTS)
         assert [module for module, _ in quadrature_batches] == ["duality", "numerics", "numerics"]
         assert [n for _, n in quadrature_batches] == [4 * len(LOTS), 3, 3]
+
+
+def loop_report(U, V, lotteries, spec):
+    """dominance_report as separate calls: each verdict on its own grid,
+    the implications from one-pair calls, and each lottery's exponential
+    chain from its own evaluate_pairs call and its own grid."""
+    first = first_order_dominates(U, V)
+    parts = [first, second_order_dominates(U, V)]
+    if first.dominates and lotteries:
+        margins = []
+        for f in lotteries:
+            edu_u, edu_v = expected_disutility(f, U, spec), expected_disutility(f, V, spec)
+            ae = _aspiration_from(f, edu_u, spec) - _aspiration_from(f, edu_v, spec)
+            margins.append((edu_u - edu_v, ae, expected_utility(f, V, spec) - expected_utility(f, U, spec)))
+        parts.append((margins, U.density_moments(spec)[0] - V.density_moments(spec)[0]))
+    if isinstance(U, ExponentialNormalized) and isinstance(V, ExponentialNormalized):
+        flat, steep = (exponential_or_linear(0.0, 1.0, g) for g in sorted((U.gamma, V.gamma)))
+        xs = np.linspace(0.0, 1.0, DEFAULT_GRID)
+        pointwise = float((steep.value(xs) - flat.value(xs)).min())
+        for f in lotteries:
+            a, b = evaluate_pairs([(f, flat), (f, steep)], spec)
+            parts.append((
+                pointwise,
+                b.expected_utility - a.expected_utility,
+                a.aspiration_equivalent - b.aspiration_equivalent,
+                a.certain_equivalent - b.certain_equivalent,
+            ))
+    return parts
+
+
+def batch_report(U, V, lotteries, spec):
+    report = dominance_report(U, V, lotteries, spec=spec)
+    parts = [report.first_order, report.second_order]
+    if report.implications is not None:
+        margins = [(m.edu_margin, m.ae_margin, m.eu_margin) for m in report.implications.per_lottery]
+        parts.append((margins, report.implications.mean_margin))
+    return parts + [c.margins() for c in report.chains]
+
+
+# a depth-1 spec fails some of a lottery's four jobs and not others, with
+# different messages: B's EDU first in the implications' order, B's EU
+# first in the chains'
+DEPTH_ONE = QuadratureSpec(relative_tolerance=1e-12, absolute_tolerance=1e-15, max_subdivision_depth=1)
+PAIRS = {
+    "flat_steep": (A, B),  # dominates: the implications read first
+    "steep_flat": (B, A),  # does not: the chains read first
+    "equal": (B, B),
+    "not_exponential": (Linear(0.0, 1.0), B),
+}
+
+
+class TestDominanceReport:
+    """One grid and one pair batch serve the verdicts, the implications
+    and the exponential chains; each value and the first error are what
+    the separate calls give."""
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("pair", PAIRS)
+    @pytest.mark.parametrize("spec", [None, DEPTH_ONE], ids=["default", "depth_one"])
+    def test_same_bits_and_first_error(self, quadrature_batches, monkeypatch, case, pair, spec):
+        grids = []
+        on_grid = aspeq.dominance._on_grid
+        monkeypatch.setattr(aspeq.dominance, "_on_grid", lambda *a: grids.append(a) or on_grid(*a))
+        U, V = PAIRS[pair]
+        lotteries = _with(LOTS, case)
+        want = _outcome(lambda: loop_report(U, V, lotteries, spec))
+        grids.clear()
+        quadrature_batches.clear()
+        assert _outcome(lambda: batch_report(U, V, lotteries, spec)) == want
+        assert len(grids) == 1
+        assert len([module for module, _ in quadrature_batches if module == "duality"]) <= 1
+
+    def test_the_cases_reach_both_readers_and_fail(self):
+        outcomes = {
+            (pair, spec is None): _outcome(lambda: loop_report(*PAIRS[pair], LOTS, spec))
+            for pair in PAIRS for spec in (None, DEPTH_ONE)
+        }
+        # the implications, and all three chains after the two verdicts
+        assert len(outcomes["flat_steep", True]) == 2 + 1 + 3
+        assert len(outcomes["steep_flat", True]) == 2 + 3
+        # two different first errors under the depth-1 spec
+        errors = {outcomes[pair, False][1] for pair in ("flat_steep", "steep_flat")}
+        assert len(errors) == 2
+
+    def test_one_pair_batch_of_every_job(self, quadrature_batches):
+        report = dominance_report(A, B, LOTS)
+        assert len(report.chains) == len(LOTS) and report.implications is not None
+        assert quadrature_batches == [("duality", 4 * len(LOTS)), ("numerics", 3), ("numerics", 3)]
+
+    @pytest.mark.parametrize("F", LOTS)
+    def test_single_chain_is_the_list_form(self, F):
+        assert _bits(exponential_chain(1.0, 4.0, F)) == _bits(dominance_report(A, B, [F]).chains[0])
 
 
 def _matrix_scenario():
