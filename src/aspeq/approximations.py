@@ -29,7 +29,8 @@ import numpy as np
 
 from .curves import Curve, ExponentialNormalized, SingularDensityError, StepFunctionError
 from .duality import DomainMismatchError, certain_equivalent
-from .numerics import QuadratureSpec, central_difference, cumulants, integrate, merge_knots
+from .numerics import MAX_CUMULANT_ORDER, QuadratureSpec, central_difference, cumulants
+from .numerics import integrate, merge_knots
 
 # C'' is a first difference of the density; slopes below this floor
 # (relative to 1/span^2) read as zero
@@ -180,8 +181,8 @@ def ae_cumulant_series(
         )
     if F.gamma <= 0.0:
         raise ValueError(f"lottery rate must be positive, got {F.gamma!r}")
-    if not 1 <= terms <= 8:
-        raise ValueError(f"terms must be between 1 and 8, got {terms!r}")
+    if not 1 <= terms <= MAX_CUMULANT_ORDER:
+        raise ValueError(f"terms must be between 1 and {MAX_CUMULANT_ORDER}, got {terms!r}")
     if U.is_step:
         raise StepFunctionError("the utility density of a step is a point mass")
     if U.has_singular_density:

@@ -38,10 +38,10 @@ from .approximations import (
 )
 from .curves import Curve, CurveError, CurveParameterError, ExponentialNormalized
 from .delegation import DEFAULT_FRACTILE, desiderata_report, update_target
-from .dominance import DEFAULT_GRID, dominance_report
+from .dominance import DEFAULT_GRID, MIN_GRID, dominance_report
 from .duality import DomainMismatchError, UnattainableTargetError, _aspiration_from, _certain_from
-from .duality import _effective_root, _pair_values, evaluate_pairs, exponential_or_linear
-from .numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureSpec
+from .duality import _effective_root, _pair_values, _read, evaluate_pairs, exponential_or_linear
+from .numerics import DEFAULT_QUADRATURE, MAX_CUMULANT_ORDER, NumericsError, QuadratureSpec
 from .scenarios import Scenario, ScenarioError, _number, load_scenario
 from .selection import EvalMatrix, allocate_eu_matrix, allocation_sums, evaluate_matrix, find_pure_saddle
 
@@ -457,13 +457,13 @@ def _cmd_approx(scenario: Scenario, args: argparse.Namespace) -> _Out:
     moments_of = cache(lambda curve: curve.density_moments(spec))
     pairs = [(f, u) for f in scenario.lotteries for u in scenario.utilities]
     # every pair's exact CE and AE in one batch, each read where ce_taylor2 or ae_taylor2 integrates it
-    integrals = _pair_values([(f.curve, u.curve, role) for f, u in pairs for role in ("eu", "edu")], spec)
+    integrals = iter(_pair_values([(f.curve, u.curve, role) for f, u in pairs for role in ("eu", "edu")], spec))
 
     for fn_named, un_named in pairs:
         fn, un = fn_named.name, un_named.name
         F, U = fn_named.curve, un_named.curve
-        ce = ce_taylor2(F, U, spec, moments_of(F), lambda: _certain_from(U, next(integrals), spec))
-        ae = ae_taylor2(F, U, spec, moments_of(U), lambda: _certain_from(F, next(integrals), spec))
+        ce = ce_taylor2(F, U, spec, moments_of(F), lambda: _certain_from(U, _read(next(integrals)), spec))
+        ae = ae_taylor2(F, U, spec, moments_of(U), lambda: _certain_from(F, _read(next(integrals)), spec))
         values = {
             "lottery_mean": ce.first_moment,
             "lottery_var": ce.central_second_moment,
@@ -614,10 +614,10 @@ _OPTIONS: dict[str, tuple[dict[str, str], dict[str, tuple[Callable[[str], Any], 
     ),
     "--grid": ({"help": "grid point count (default %(default)s)"}, {
         "sweep": (_ranged(int, lambda n: n >= 2, "an integer of at least 2"), 21),
-        "dominance": (_ranged(int, lambda n: n >= 64, "an integer of at least 64"), DEFAULT_GRID),
+        "dominance": (_ranged(int, lambda n: n >= MIN_GRID, f"an integer of at least {MIN_GRID}"), DEFAULT_GRID),
     }),
     "--terms": ({"help": "cumulant series terms (default %(default)s)"}, {
-        "approx": (_ranged(int, lambda n: 1 <= n <= 8, "an integer from 1 to 8"), 6),
+        "approx": (_ranged(int, lambda n: 1 <= n <= MAX_CUMULANT_ORDER, f"an integer from 1 to {MAX_CUMULANT_ORDER}"), 6),
     }),
     "--fractile": ({"help": "fractile rule's level (default %(default)s)"}, {"delegate": (_FRACTION, DEFAULT_FRACTILE)}),
 }

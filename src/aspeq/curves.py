@@ -571,7 +571,6 @@ class PiecewiseLinear(Curve):
                 if y0 >= p:
                     return x0
                 return x0 + (p - y0) * (x1 - x0) / (y1 - y0)
-        return self.hi
 
 
 CURVE_KINDS: dict[str, type[Curve]] = {

@@ -25,7 +25,7 @@ from .duality import (
     _aspiration_from,
     _effective_root,
     _pair_values,
-    _through_first,
+    _read,
     aspiration_equivalent,
     evaluate_pairs,
     exceedance_probability,
@@ -90,7 +90,7 @@ def choose_by_eu(
     """Index of the lottery with the highest expected utility."""
     if not lotteries:
         raise ValueError("need at least one lottery")
-    return _argmax(list(_pair_values([(f, utility, "eu") for f in lotteries], spec)))
+    return _argmax([_read(eu) for eu in _pair_values([(f, utility, "eu") for f in lotteries], spec)])
 
 
 def choose_by_aspiration(
@@ -105,10 +105,8 @@ def choose_by_aspiration(
     """
     if not lotteries:
         raise ValueError("need at least one lottery")
-    # a step lottery's aspiration equivalent raises: no EDU after it is read
-    jobs = [(f, utility, "edu") for f in _through_first(lotteries, lambda f: f.is_step)]
-    edus = _pair_values(jobs, spec)
-    targets = [_aspiration_from(f, next(edus), spec) for f in lotteries]
+    edus = _pair_values([(f, utility, "edu") for f in lotteries], spec)
+    targets = [_aspiration_from(f, _read(edu), spec) for f, edu in zip(lotteries, edus)]
     exceed = [exceedance_probability(f, t) for f, t in zip(lotteries, targets)]
     return AspirationChoice(
         index=_argmax(exceed), targets=tuple(targets), exceedance=tuple(exceed)

@@ -17,7 +17,8 @@ reported so borderline calls are auditable.
 dominance_report runs all of these for one pair of utilities from one
 comparison grid and one pair batch: the verdicts and chains read A's and
 B's values on that grid, and the implications and chains read each
-lottery's EU and EDU under A and B from one integrate_many batch.
+lottery's EU and EDU under A and B from one integrate_many batch, which
+runs only when one of them reads it.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ from .duality import (
     _aspiration_from,
     _certain_from,
     _pair_values,
-    _through_first,
+    _read,
     exponential_or_linear,
 )
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate, merge_knots
 
 GRID_TOLERANCE = 1e-9
 DEFAULT_GRID = 2048
+MIN_GRID = 64
 
 
 @dataclass(frozen=True)
@@ -116,8 +118,8 @@ def _on_grid(
             f"curves live on different intervals: [{A.lo!r}, {A.hi!r}] vs "
             f"[{B.lo!r}, {B.hi!r}]"
         )
-    if grid_points < 64:
-        raise ValueError(f"grid_points must be at least 64, got {grid_points}")
+    if grid_points < MIN_GRID:
+        raise ValueError(f"grid_points must be at least {MIN_GRID}, got {grid_points}")
     xs = np.linspace(A.lo, A.hi, grid_points)
     knots = merge_knots(A.kinks(), B.kinks())
     if knots:
@@ -174,11 +176,11 @@ def _report(
     if implied and A dominates B, and given A's and B's gammas, each
     lottery's exponential chain.
 
-    The batch holds each lottery's EU and EDU under A and under B, up to
-    the first step lottery (whose aspiration equivalent raises), in the
-    order their first reader reads them: the implications when they run,
-    else the chains. So each value and the first error are what reading
-    one lottery at a time gives, and the chains find read values stored.
+    The batch holds each lottery's EU and EDU under A and under B; each
+    job's outcome is what it gives alone, so each value and the first
+    error are what reading one lottery at a time gives, whichever reader
+    reads first. With neither implications nor chains to read it, nothing
+    is integrated.
     """
     xs, a, b = _on_grid(A, B, grid_points)
     diff = a - b
@@ -188,22 +190,13 @@ def _report(
     implied = implied and verdict.dominates
     swapped = gammas is not None and gammas[0] > gammas[1]
     flat, steep = (B, A) if swapped else (A, B)
-    if implied:
-        order = ((A, "edu"), (B, "edu"), (B, "eu"), (A, "eu"))
-    else:
-        order = ((flat, "eu"), (flat, "edu"), (steep, "eu"), (steep, "edu"))
-    keys = [
-        (k, U, role)
-        for k in range(len(_through_first(lotteries, lambda f: f.is_step)))
-        for U, role in order
-    ]
-    values = _pair_values([(lotteries[k], U, role) for k, U, role in keys], spec)
-    pending, read = iter(keys), {}
+    keys = [(k, U, role) for k in range(len(lotteries)) for U in (A, B) for role in ("eu", "edu")]
+    outcomes = {}
+    if keys and (implied or gammas is not None):
+        outcomes = dict(zip(keys, _pair_values([(lotteries[k], U, role) for k, U, role in keys], spec)))
 
     def value(k: int, U: Curve, role: str) -> float:
-        while (k, U, role) not in read:  # every job before it, in batch order
-            read[next(pending)] = next(values)
-        return read[k, U, role]
+        return _read(outcomes[k, U, role])
 
     implications = None
     if implied:

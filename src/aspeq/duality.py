@@ -21,16 +21,16 @@ maximizing expected utility; delegation builds on exactly that.
 
 Every EU and EDU, one or many, reaches the quadrature the same way: as a
 (lottery, utility, role) job in one lockstep batch (_pair_values). Each
-value, and the first error, is what the jobs give one at a time, and no
-job after the first failing one is integrated; a one-pair function is a
-batch of one.
+job's outcome, its value or its error, is what it gives alone, so a
+reader that raises the first error it reads raises what one-at-a-time
+calls raise, in any reading order; a one-pair function is a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .curves import (
     GAMMA_SPAN_CAP,
@@ -120,34 +120,26 @@ def _pair_job(lottery: Curve, utility: Curve, role: str) -> float | tuple:
 
 def _pair_values(
     jobs: Iterable[tuple[Curve, Curve, str]], spec: QuadratureSpec | None
-) -> Iterator[float]:
-    """expected_utility (role "eu") or expected_disutility ("edu") of
-    each (lottery, utility, role) job, in turn, raising at the first
-    failing job what that function raises for it. Every quadrature runs
-    in one integrate_many batch before the first value is yielded; a
-    refusal ends the batch, as a loop never reaches the jobs after it."""
-    prepared, refused = [], None
+) -> list[float | Exception]:
+    """The outcome of expected_utility (role "eu") or expected_disutility
+    ("edu") for each (lottery, utility, role) job: its value, or the
+    exception that function raises for it. Every quadrature runs in one
+    integrate_many batch; read each outcome through _read."""
+    prepared = []
     for lottery, utility, role in jobs:
         try:
             prepared.append(_pair_job(lottery, utility, role))
         except Exception as exc:  # raised when its job is read
-            refused = exc
-            break
+            prepared.append(exc)
     values = iter(integrate_many([job for job in prepared if isinstance(job, tuple)], spec))
-    for job in prepared:
-        value = next(values) if isinstance(job, tuple) else job
-        if isinstance(value, Exception):
-            raise value
-        yield value
-    if refused is not None:
-        raise refused
+    return [next(values) if isinstance(job, tuple) else job for job in prepared]
 
 
-def _through_first(items: Sequence, refused: Callable) -> Sequence:
-    """items up to the first one that refused() says its reader raises
-    at, that one included: all a loop over them integrates."""
-    stop = next((k for k, item in enumerate(items) if refused(item)), len(items))
-    return items[: stop + 1]
+def _read(outcome: float | Exception) -> float:
+    """A _pair_values outcome's value, raising the exception it holds."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _invert(curve: Curve, p: float, spec: QuadratureSpec | None) -> float:
@@ -188,7 +180,7 @@ def expected_utility(
 ) -> float:
     """Integral of lottery density times utility value. A step lottery at
     t gives U(t); a step utility at t gives 1 - F(t)."""
-    return next(_pair_values([(lottery, utility, "eu")], spec))
+    return _read(_pair_values([(lottery, utility, "eu")], spec)[0])
 
 
 def expected_disutility(
@@ -196,7 +188,7 @@ def expected_disutility(
 ) -> float:
     """Integral of utility density times lottery value: expected_utility
     with the two roles swapped, integrated on its own."""
-    return next(_pair_values([(lottery, utility, "edu")], spec))
+    return _read(_pair_values([(lottery, utility, "edu")], spec)[0])
 
 
 def certain_equivalent(
@@ -237,16 +229,10 @@ def evaluate_pairs(
     the pair-by-pair loop raises it.
 
     Every pair's EU and EDU are integrated in one lockstep batch before
-    the first result is yielded, up to the first pair sure to fail. A
-    pair with a step curve has no equivalents, so the batch ends there."""
-    jobs = [
-        (f, u, role)
-        for f, u in _through_first(pairs, lambda pair: pair[0].is_step or pair[1].is_step)
-        for role in ("eu", "edu")
-    ]
-    values = _pair_values(jobs, spec)
+    the first result is yielded."""
+    outcomes = iter(_pair_values([(f, u, role) for f, u in pairs for role in ("eu", "edu")], spec))
     for f, u in pairs:
-        eu, edu = next(values), next(values)
+        eu, edu = _read(next(outcomes)), _read(next(outcomes))
         yield DualityResult(eu, edu, _certain_from(u, eu, spec), _aspiration_from(f, edu, spec))
 
 

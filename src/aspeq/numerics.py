@@ -22,7 +22,6 @@ the other integrals in its batch nor on the machine's BLAS.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
@@ -85,6 +84,7 @@ class RootBracket:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
+MAX_CUMULANT_ORDER = 8
 
 
 # Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK qk15), one half of the symmetric
@@ -210,8 +210,7 @@ class _Integrands:
     def sample(self, ids: list[int], sizes: list[int], xs: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """The values at the nodes xs, a row per panel, the integral of
         job ids[k] owning the next sizes[k] rows; and the positions k of the
-        integrals sampled alone (solo), whose rows, like any past the last
-        integral's, are left for the caller."""
+        integrals sampled alone (solo), whose rows are left for the caller."""
         width = self.slots.shape[1]
         # each factor's (row, slot) entries together, in row order
         flat = np.repeat(self.slots[ids], sizes, axis=0).ravel()
@@ -307,11 +306,11 @@ def integrate_many(
     Product; a plain callable is one factor) gets one call per round, on
     the new nodes of every integral that uses it.
 
-    The list holds each job's value in job order, up to the first job
-    that fails (bad limits, an integrand error, a non-finite value, depth
-    exhausted): that job's exception ends the list. A loop of single
-    integrals would never start the jobs after it, so the loop drops them
-    as soon as the failure shows.
+    The list holds each job's outcome in job order: its value, or the
+    exception it fails with (bad limits, an integrand error, a non-finite
+    value, depth exhausted). A failed integral leaves the loop as a
+    finished one does, so every outcome is what the job gives alone,
+    whatever fails before or after it.
     """
     spec = spec or DEFAULT_QUADRATURE
     results: list = [None] * len(jobs)
@@ -324,7 +323,7 @@ def integrate_many(
             cuts = _opening(lo, hi, knots)
         except (TypeError, ValueError) as exc:
             results[n] = exc
-            break
+            continue
         if cuts:
             opened[n] = f
             sizes.append(len(cuts) - 1)
@@ -334,42 +333,44 @@ def integrate_many(
             results[n] = 0.0
     if opened:
         _refine(_Integrands(opened), sizes, np.array([lefts, rights]), spec, results)
-    for n, r in enumerate(results):
-        if isinstance(r, Exception):
-            return results[: n + 1]
     return results
 
 
-def _estimates(integrands, ids, sizes, panels, cut, results) -> int:
+def _estimates(integrands, ids, sizes, panels, results) -> list[int]:
     """Fill in the Kronrod estimate and the QUADPACK error estimate of
     each panel, columns of panels (_refine); they are grouped by
     integral, sizes[k] of them for the integral of job ids[k].
 
-    The first cut integrals are sampled (_Integrands.sample). Each rule
-    sums a panel's weighted values along its own row, in an order that
-    depends on nothing else, so a panel gets the same bits in any batch
-    as alone, whatever BLAS the machine has. An integral whose integrand
-    raises or returns a non-finite value gets that exception as its
-    result. The integrals from the first such one on, and those from cut
-    on, get NaN estimates; the cut returned leaves them out."""
+    Each rule sums a panel's weighted values along its own row, in an
+    order that depends on nothing else, so a panel gets the same bits in
+    any batch as alone, whatever BLAS the machine has. An integral whose
+    integrand raises or returns a non-finite value gets that exception as
+    its result, unless it already holds one, and zero values, so no
+    non-finite value reaches the sums; the positions k of these failed
+    integrals are returned."""
     half = 0.5 * (panels[1] - panels[0])
     xs = (0.5 * (panels[0] + panels[1]))[:, None] + half[:, None] * _NODES
     bounds = [0, *accumulate(sizes)]
     # a lone integral has no factor to share
-    ys, solo = integrands.sample(ids[:cut], sizes[:cut], xs) if cut > 1 else (np.empty(xs.shape), range(cut))
+    ys, solo = integrands.sample(ids, sizes, xs) if len(ids) > 1 else (np.empty(xs.shape), [0])
+    failed: dict[int, Exception] = {}
     for k in solo:
         s, e = bounds[k], bounds[k + 1]
         try:
             ys[s:e] = integrands.solo(ids[k])(xs[s:e].ravel()).reshape(e - s, len(_NODES))
-        except Exception as exc:  # ends the list integrate_many returns
-            results[ids[k]], cut = exc, k
-            break
-    finite = np.isfinite(ys[: bounds[cut]])
-    if np.count_nonzero(finite) < finite.size:  # the first non-finite value in job order
-        i = int(np.argmin(finite))
-        cut, x = bisect_right(bounds, i // len(_NODES)) - 1, float(xs.flat[i])
-        results[ids[cut]] = QuadratureError(f"integrand returned a non-finite value at x={x!r}")
-    ys[bounds[cut] :] = np.nan
+        except Exception as exc:  # that integral's outcome
+            failed[k] = exc
+    finite = np.isfinite(ys)
+    if np.count_nonzero(finite) < finite.size:  # each integral's first non-finite value
+        bad = np.flatnonzero(~finite)
+        owner = np.searchsorted(bounds, bad // len(_NODES), side="right") - 1
+        owners, firsts = np.unique(owner, return_index=True)
+        for k, x in zip(owners.tolist(), xs.flat[bad[firsts]].tolist()):
+            failed.setdefault(k, QuadratureError(f"integrand returned a non-finite value at x={x!r}"))
+    for k, exc in failed.items():
+        ys[bounds[k] : bounds[k + 1]] = 0.0
+        if results[ids[k]] is None:
+            results[ids[k]] = exc
     kronrod = np.add.reduce(ys * _KRONROD, -1)
     gauss = np.add.reduce(ys * _GAUSS, -1)
     resasc = np.add.reduce(np.abs(ys - 0.5 * kronrod[:, None]) * _KRONROD, -1)
@@ -382,7 +383,7 @@ def _estimates(integrands, ids, sizes, panels, cut, results) -> int:
     scaled = resasc * np.minimum(1.0, (200.0 * gap / np.where(varies, resasc, 1.0)) ** 1.5)
     np.multiply(half, kronrod, out=panels[3])
     np.multiply(half, np.where(varies, scaled, gap), out=panels[4])
-    return cut
+    return list(failed)
 
 
 def _refine(integrands, sizes: list[int], ends: np.ndarray, spec: QuadratureSpec, results: list) -> None:
@@ -398,17 +399,20 @@ def _refine(integrands, sizes: list[int], ends: np.ndarray, spec: QuadratureSpec
     reduceat over its run of panels), the split order, splitting and
     merging. None mixes one integral's numbers into another's, so every
     value is bit for bit what the integral gives alone. One integral
-    needs no regrouping to sort, split and merge. The first integral to
-    fail, in job order, leaves the loop with every integral after it."""
+    needs no regrouping to sort, split and merge. An integral that fails
+    gets its exception as its result and zero estimates and errors, so
+    the next stopping test retires it as it retires a finished one."""
     ids = list(integrands.integrands)
     # rows: each panel's ends, the splits left before the depth limit,
     # its estimate and its error
     panels = np.empty((5, ends.shape[1]))
     panels[:2], panels[2] = ends, spec.max_subdivision_depth
-    cut = _estimates(integrands, ids, sizes, panels, len(ids), results)
+    failed = _estimates(integrands, ids, sizes, panels, results)
     while True:
-        starts = [0, *accumulate(sizes[:cut])]
-        total, err = np.add.reduceat(panels[3:, : starts[-1]], starts[:-1], 1)
+        starts = [0, *accumulate(sizes)]
+        for k in failed:
+            panels[3:, starts[k] : starts[k + 1]] = 0.0
+        total, err = np.add.reduceat(panels[3:], starts[:-1], 1)
         limit = np.maximum(spec.absolute_tolerance, spec.relative_tolerance * np.abs(total))
         # past the budget, refinement also ends once the error no longer
         # shows in the total's last bit (Gander and Gautschi, BIT 2000):
@@ -416,15 +420,16 @@ def _refine(integrands, sizes: list[int], ends: np.ndarray, spec: QuadratureSpec
         # can give
         stop = (err <= limit) | (total + err == total)
         done = stop.nonzero()[0].tolist()
-        if done or cut < len(ids):
+        if done:
             for k in done:
-                # fsum over the surviving panels is exact, so the result
-                # cannot depend on the order the panels were split in
-                results[ids[k]] = math.fsum(panels[3, starts[k] : starts[k + 1]].tolist())
-            if len(done) == cut:
+                if results[ids[k]] is None:  # a failed integral keeps its exception
+                    # fsum over the surviving panels is exact, so the result
+                    # cannot depend on the order the panels were split in
+                    results[ids[k]] = math.fsum(panels[3, starts[k] : starts[k + 1]].tolist())
+            if len(done) == len(ids):
                 return
             live = (~stop).nonzero()[0].tolist()
-            panels = panels[:, : starts[-1]][:, np.repeat(~stop, sizes[:cut])]
+            panels = panels[:, np.repeat(~stop, sizes)]
             ids, sizes, err, limit = [ids[k] for k in live], [sizes[k] for k in live], err[live], limit[live]
 
         error = panels[4]
@@ -450,15 +455,17 @@ def _refine(integrands, sizes: list[int], ends: np.ndarray, spec: QuadratureSpec
         mid = 0.5 * (left + right)
         down -= 1
         stuck = (down < 0) | (mid <= left) | (mid >= right)
-        cut = len(ids)
-        if np.count_nonzero(stuck):  # the first stuck panel in split order
-            i = split[np.argmax(stuck)]
-            cut = int(np.searchsorted(np.cumsum(sizes), i, side="right"))
-            lo, hi, _, best, bound = panels[:, i].tolist()
-            results[ids[cut]] = QuadratureError(
-                f"refinement depth exhausted on [{lo!r}, {hi!r}]: best "
-                f"estimate {best!r}, error bound {bound:.3e}"
-            )
+        failed = []
+        if np.count_nonzero(stuck):  # each integral's first stuck panel in split order
+            at = split[stuck]
+            owners, firsts = np.unique(np.searchsorted(np.cumsum(sizes), at, side="right"), return_index=True)
+            for k, i in zip(owners.tolist(), at[firsts].tolist()):
+                lo, hi, _, best, bound = panels[:, i].tolist()
+                results[ids[k]] = QuadratureError(
+                    f"refinement depth exhausted on [{lo!r}, {hi!r}]: best "
+                    f"estimate {best!r}, error bound {bound:.3e}"
+                )
+                failed.append(k)
         # the left halves, then the right halves, each in split order
         new = np.concatenate([halved, halved], axis=1)
         new[1, : len(split)] = new[0, len(split) :] = mid
@@ -467,7 +474,7 @@ def _refine(integrands, sizes: list[int], ends: np.ndarray, spec: QuadratureSpec
             # merge, each integral's kept panels, then its new ones
             new = new[:, np.argsort(np.concatenate([row[split], row[split]]), kind="stable")]
         new_sizes = [2 * c for c in counts]
-        cut = _estimates(integrands, ids, new_sizes, new, cut, results)
+        failed += _estimates(integrands, ids, new_sizes, new, results)
 
         keep = np.ones(len(error), dtype=bool)
         keep[split] = False
@@ -577,8 +584,8 @@ def cumulants(
     capped at 8: beyond that the moment integrals lose too many digits to
     cancellation for the recursion to be trustworthy.
     """
-    if not 1 <= order <= 8:
-        raise ValueError("order must be between 1 and 8")
+    if not 1 <= order <= MAX_CUMULANT_ORDER:
+        raise ValueError(f"order must be between 1 and {MAX_CUMULANT_ORDER}")
     knots = tuple(knots)
     powers = [Product(lambda x, n=n: x**n, density) for n in range(1, order + 1)]
     mass, *moments = integrate_many([(f, lo, hi, knots) for f in [density, *powers]], spec)
@@ -586,8 +593,9 @@ def cumulants(
         raise mass
     if abs(mass - 1.0) > 1e-6:
         raise NormalizationError(f"density mass {mass!r} differs from 1 by more than 1e-6")
-    if isinstance(moments[-1], Exception):  # the list ends at the first failure
-        raise moments[-1]
+    for moment in moments:
+        if isinstance(moment, Exception):
+            raise moment
     moments = [1.0, *moments]
 
     kappa: list[float] = []

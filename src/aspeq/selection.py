@@ -27,6 +27,7 @@ from .duality import (
     DualityResult,
     _aspiration_from,
     _pair_values,
+    _read,
     evaluate_pairs,
 )
 from .numerics import QuadratureSpec
@@ -94,9 +95,9 @@ def dual_select(
     ranking them through F's quantile cannot disagree."""
     if not utilities:
         raise ValueError("need at least one utility")
-    values = _pair_values([(lottery, u, role) for role in ("eu", "edu") for u in utilities], spec)
-    eus = [next(values) for u in utilities]
-    aes = [_aspiration_from(lottery, next(values), spec) for u in utilities]
+    values = iter(_pair_values([(lottery, u, role) for role in ("eu", "edu") for u in utilities], spec))
+    eus = [_read(next(values)) for u in utilities]
+    aes = [_aspiration_from(lottery, _read(next(values)), spec) for u in utilities]
     by_eu = 0
     for j, v in enumerate(eus):
         if v < eus[by_eu]:
@@ -183,8 +184,8 @@ def saddle_allocate(
 ) -> Allocation:
     """allocate_eu_matrix on the EU matrix of lotteries x utilities,
     integrated in one batch."""
-    values = _pair_values([(f, u, "eu") for f in lotteries for u in utilities], spec)
-    eu = [[next(values) for u in utilities] for f in lotteries]
+    values = iter(_pair_values([(f, u, "eu") for f in lotteries for u in utilities], spec))
+    eu = [[_read(next(values)) for u in utilities] for f in lotteries]
     return allocate_eu_matrix(eu)
 
 

@@ -289,6 +289,11 @@ class TestCumulantSeries:
         with pytest.raises(StepFunctionError):
             ae_cumulant_series(F, Step(0.0, 1.0, threshold=0.5), terms=3)
 
+    def test_singular_utility_rejected(self):
+        F = ExponentialNormalized(0.0, 1.0, gamma=2.0)
+        with pytest.raises(SingularDensityError, match="cumulants are not computable"):
+            ae_cumulant_series(F, ScaledBeta(0.0, 1.0, alpha=0.5, beta=2.0), terms=3)
+
 
 class TestOneTolerance:
     @pytest.mark.parametrize(

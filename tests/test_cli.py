@@ -360,7 +360,7 @@ class TestApprox:
         scenario["utilities"] = [*BASIC["utilities"], {"name": "extra", **extra}]
         path = write_scenario(tmp_path, scenario)
         batched = run("approx", "--scenario", path), capsys.readouterr().err
-        one_at_a_time = lambda jobs, spec: (next(_pair_values([job], spec)) for job in jobs)
+        one_at_a_time = lambda jobs, spec: (_pair_values([job], spec)[0] for job in jobs)
         monkeypatch.setattr(aspeq.cli, "_pair_values", one_at_a_time)
         assert (run("approx", "--scenario", path), capsys.readouterr().err) == batched
 
@@ -480,6 +480,37 @@ class TestOptionSurface:
     def test_unread_option_refused(self, capsys, command, option):
         err = refused(capsys, command, "--scenario", "never_read.json", f"--{option}", "3")
         assert f"unrecognized arguments: --{option} 3" in err
+
+
+class TestMalformedScenario:
+    """Input no other test sends, each refused with exit 2 and the place
+    in the scenario it is wrong."""
+
+    @pytest.mark.parametrize(
+        "command,change,message",
+        [
+            ("eval", {"lotteries": ["beta23"]}, "lotteries[0]: expected an object, got str"),
+            (
+                "eval",
+                {"utilities": [{"name": "pl", "kind": "piecewise_linear", "knots": "0 0 1 1"}]},
+                "utilities[0].knots: expected a list of [x, value]",
+            ),
+            ("eval", {"utilities": {"name": "exp2"}}, "utilities: expected a list"),
+            ("eval", {"domain": {"lo": 0.0, "hi": 1.0, "unit": 10}}, "domain.unit: expected a string"),
+            ("sweep", {"gammas": []}, "gammas: expected a nonempty list of numbers"),
+            ("sweep", {"gammas": 2.0}, "gammas: expected a nonempty list of numbers"),
+            ("sweep", {"gamma_range": [1.0]}, "gamma_range: expected [first, last]"),
+            # no lotteries key at all
+            ("approx", {"lotteries": None}, "approx needs at least one lottery and one utility"),
+        ],
+    )
+    def test_refused_with_its_place(self, tmp_path, capsys, command, change, message):
+        code, text = run(command, "--scenario", write_scenario(tmp_path, {**BASIC, **change}))
+        assert (code, text, capsys.readouterr().err) == (2, "", f"error: {message}\n")
+
+    def test_option_value_that_does_not_convert(self, capsys):
+        err = refused(capsys, "sweep", "--scenario", "never_read.json", "--grid", "abc")
+        assert "argument --grid: expected an integer of at least 2, got 'abc'" in err
 
 
 class TestExitCodes:

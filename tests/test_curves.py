@@ -283,6 +283,18 @@ class TestPiecewiseLinear:
         with pytest.raises(CurveParameterError):
             PiecewiseLinear(0.0, 1.0, points=((0.0, 0.0), (0.5, 0.7), (1.0, 0.6)))
 
+    @pytest.mark.parametrize(
+        "points,reason",
+        [
+            (((0.0, 0.0),), "need at least two points"),
+            # anchored at both ends, falling between
+            (((0.0, 0.0), (0.5, 0.7), (0.7, 0.6), (1.0, 1.0)), "values must be nondecreasing"),
+        ],
+    )
+    def test_refusal_names_its_reason(self, points, reason):
+        with pytest.raises(CurveParameterError, match=reason):
+            PiecewiseLinear(0.0, 1.0, points=points)
+
 
 class TestRegistryAndBase:
     def test_registry_covers_nine_kinds(self):

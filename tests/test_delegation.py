@@ -191,6 +191,14 @@ class TestDesiderata:
         fr = next(r for r in report.rules if r.rule == "fractile")
         assert all(e == pytest.approx(0.75, abs=1e-9) for e in fr.exceedance)
 
+    def test_bad_arguments_refused(self):
+        lots = [Uniform(0.0, 1.0), Triangular(0.0, 1.0)]
+        U = ExponentialNormalized(0.0, 1.0, gamma=1.0)
+        with pytest.raises(ValueError, match="need at least two lotteries"):
+            desiderata_report(lots[:1], U)
+        with pytest.raises(ValueError, match=r"fractile must be inside \(0, 1\), got 1\.0"):
+            desiderata_report(lots, U, fractile=1.0)
+
     def test_report_covers_three_rules(self):
         lots = [Uniform(0.0, 1.0), Triangular(0.0, 1.0)]
         report = desiderata_report(lots, ExponentialNormalized(0.0, 1.0, gamma=1.0))

@@ -128,6 +128,14 @@ class TestFindRoot:
     def test_root_at_endpoint(self):
         assert find_root(lambda x: x, RootBracket(0.0, 1.0)) == pytest.approx(0.0, abs=1e-10)
 
+    def test_root_at_upper_endpoint(self):
+        # g(lo) is past the tolerance, g(hi) within it: hi comes back as is
+        assert find_root(lambda x: x - 1.0, RootBracket(0.0, 1.0)) == 1.0
+
+    def test_non_finite_end_rejected(self):
+        with pytest.raises(ValueError, match="bracket endpoints must be finite"):
+            RootBracket(0.0, math.inf)
+
     def test_no_sign_change_raises(self):
         with pytest.raises(BracketError):
             find_root(lambda x: x * x + 1.0, RootBracket(-1.0, 1.0))
@@ -186,6 +194,17 @@ class TestDifferences:
         # one-sided stencil engages; still consistent
         d = central_difference(lambda x: x**3, 0.0, bounds=(0.0, 1.0))
         assert d == pytest.approx(0.0, abs=1e-6)
+
+    def test_first_derivative_near_upper_bound(self):
+        # the backward stencil samples only below x
+        seen = []
+        d = central_difference(lambda x: seen.append(x) or x**3, 1.0, bounds=(0.0, 1.0))
+        assert d == pytest.approx(3.0, rel=1e-9)
+        assert max(seen) == 1.0
+
+    def test_point_outside_bounds_refused(self):
+        with pytest.raises(ValueError, match=r"x=1\.5 outside bounds \[0\.0, 1\.0\]"):
+            central_difference(math.exp, 1.5, bounds=(0.0, 1.0))
 
 
 class TestCumulants:
@@ -359,8 +378,8 @@ def _reference_sets():
     tolerance catalog at four tolerances, and the conftest 8 x 8
     catalog's EU and EDU jobs at the default spec. Depth 16 puts
     depth-exhausted jobs among the catalog's from 1e-6 on, so a batch
-    also ends and restarts at failures, and it caps the work of any job
-    that could not meet its budget."""
+    also holds failures, and it caps the work of any job that could not
+    meet its budget."""
     from conftest import smooth_lotteries, smooth_utilities
 
     sets = {
@@ -406,15 +425,6 @@ def _set_id(name):
     return name.removeprefix("tolerance@")
 
 
-def _batch(jobs, spec):
-    """integrate_many's outcome of every job: a batch ends at its first
-    failing job, so the jobs after it go to a batch of their own."""
-    got = []
-    while len(got) < len(jobs):
-        got += integrate_many(jobs[len(got) :], spec)
-    return got
-
-
 def _moved(got, want, recorded):
     """How many outcomes moved, and what differs between the environment
     the reference was recorded in and this one."""
@@ -439,7 +449,7 @@ class TestIntegrateMany:
     def test_bit_identical_to_integrate(self, name):
         # needs no file, so it holds in every environment
         spec, jobs = _reference_sets()[name]
-        assert [_bits(r) for r in _batch(jobs, spec)] == _outcomes([name])[name]
+        assert [_bits(r) for r in integrate_many(jobs, spec)] == _outcomes([name])[name]
 
     def test_blas_kernel_does_not_matter(self):
         # OPENBLAS_CORETYPE=Prescott holds OpenBLAS to its oldest x86-64
@@ -462,40 +472,52 @@ class TestIntegrateMany:
         assert json.loads(child.stdout) == _outcomes(names)
 
     @pytest.mark.parametrize("first", ("non_finite", "depth"))
-    def test_list_ends_at_first_failing_job(self, first):
+    def test_jobs_around_a_failure_keep_their_outcomes(self, first):
         nan_at_half = (lambda xs: np.where(xs == 0.5, np.nan, xs), 0.0, 1.0, ())
         pole = (lambda x: 1.0 / max(x, 1e-300), 0.0, 1.0, ())
         smooth = (np.exp, 0.0, 1.0, ())
         failing = [nan_at_half, pole] if first == "non_finite" else [pole, nan_at_half]
         jobs = [smooth, failing[0], smooth, failing[1], smooth]
-        alone = [_bits(_alone(*job)) for job in jobs[:2]]
-        assert alone[1][0] == "QuadratureError"
+        alone = [_bits(_alone(*job)) for job in jobs]
+        assert alone[1][0] == alone[3][0] == "QuadratureError"
         assert [_bits(r) for r in integrate_many(jobs)] == alone
 
-    def test_jobs_after_a_failure_are_dropped(self):
-        # the NaN shows in the opening round, so the slow job after it
-        # gets that round's call and no other
-        seen = []
+    def test_a_failure_leaves_the_loop_as_a_finished_job(self):
+        # every job, the failing one too, gets the integrand calls it
+        # gets alone: a failed integral is sampled no further
+        def logged(f, log):
+            def call(xs):
+                log.append(len(xs))
+                return f(xs)
 
-        def slow(xs):
-            seen.append(len(xs))
-            return np.sqrt(xs)
+            return call
 
-        nan_at_half = (lambda xs: np.where(xs == 0.5, np.nan, xs), 0.0, 1.0, ())
-        got = integrate_many([(np.exp, 0.0, 1.0, ()), nan_at_half, (slow, 0.0, 1.0, ())])
-        assert len(got) == 2 and isinstance(got[1], QuadratureError)
-        assert seen == [15]
-        # bad limits end the list before any job after them opens
-        got = integrate_many([(np.exp, 1.0, 0.0, ()), (slow, 0.0, 1.0, ())])
-        assert len(got) == 1 and isinstance(got[0], ValueError)
-        assert seen == [15]
-        # at depth 1 the pole's second split is stuck, and the slow job
-        # gets no call in that round
-        seen.clear()
-        pole = (lambda x: 1.0 / max(x, 1e-300), 0.0, 1.0, ())
-        got = integrate_many([pole, (slow, 0.0, 1.0, ())], QuadratureSpec(max_subdivision_depth=1))
-        assert len(got) == 1 and "depth exhausted" in str(got[0])
-        assert seen == [15, 30]
+        nan_at_half = lambda xs: np.where(xs == 0.5, np.nan, xs)
+        pole = lambda xs: 1.0 / np.maximum(xs, 1e-300)
+        cases = [
+            # the NaN shows in the opening round
+            ([(np.exp, 0.0, 1.0), (nan_at_half, 0.0, 1.0), (np.sqrt, 0.0, 1.0)], None),
+            # bad limits never open
+            ([(np.exp, 1.0, 0.0), (np.sqrt, 0.0, 1.0)], None),
+            # the NaN shows after several rounds, with panels kept
+            ([(np.sqrt, 0.0, 1.0), (_nan_near_zero, 0.0, 1.0), (np.exp, 0.0, 2.0)], None),
+            # at depth 3 the pole's panel at 0 is stuck, with panels kept
+            ([(pole, 0.0, 1.0), (np.sqrt, 0.0, 1.0)], QuadratureSpec(max_subdivision_depth=3)),
+        ]
+        for jobs, spec in cases:
+            alone, batch = [[] for _ in jobs], [[] for _ in jobs]
+            want = [_bits(_alone(logged(f, log), lo, hi, (), spec)) for (f, lo, hi), log in zip(jobs, alone)]
+            got = integrate_many([(logged(f, log), lo, hi, ()) for (f, lo, hi), log in zip(jobs, batch)], spec)
+            assert [_bits(r) for r in got] == want
+            assert batch == alone
+            assert any(isinstance(r, Exception) for r in got)
+
+    def test_depth_error_is_not_replaced(self):
+        # the round that finds the stuck panel still samples its halves,
+        # whose nodes alone are NaN here: the depth error stands
+        f = lambda xs: np.where(xs < 1.25e-5, np.nan, np.sqrt(xs))
+        with pytest.raises(QuadratureError, match=r"depth exhausted on \[0\.0, 0\.00390625\]"):
+            integrate(f, 0.0, 1.0, QuadratureSpec(max_subdivision_depth=8))
 
     def test_bad_limits_and_integrand_errors_are_outcomes(self):
         def broken(xs):
@@ -572,8 +594,8 @@ class TestCurveMajorSampling:
 
     def test_factor_raising_on_one_job(self):
         # the beta's density is shared by three jobs and raises DomainError
-        # on the second one's nodes past 1: the first job refines on alone
-        # and the list ends at the second with the error it raises alone
+        # on the second one's nodes past 1: the other two refine on alone
+        # and the second gets the error it raises alone
         beta, exp2 = ScaledBeta(0.0, 1.0, alpha=2.0, beta=3.0), ExponentialNormalized(0.0, 1.5, gamma=2.0)
         jobs = [
             (Product(beta.density, exp2.value), 0.0, 1.0, ()),
@@ -581,9 +603,9 @@ class TestCurveMajorSampling:
             (Product(exp2.density, beta.density), 0.0, 1.0, ()),
         ]
         got = integrate_many(jobs)
-        assert len(got) == 2 and isinstance(got[1], DomainError)
+        assert len(got) == 3 and isinstance(got[1], DomainError)
         assert [_bits(r) for r in got] == [_bits(r) for r in integrate_many(_as_lambdas(jobs))]
-        assert _bits(got[0]) == _bits(_alone(*_as_lambdas(jobs)[0]))
+        assert [_bits(r) for r in got] == [_bits(_alone(*job)) for job in _as_lambdas(jobs)]
 
     def test_factors_that_cannot_be_grouped(self):
         # math.exp takes no array, the constant gives a float for one, and
@@ -609,8 +631,8 @@ class TestCurveMajorSampling:
 
     def test_non_finite_factor(self):
         # one factor shared by three jobs gives NaN at 0.5, a node of the
-        # second job's opening panel only: the list ends at that job with
-        # the message it gives alone
+        # second job's opening panel only: that job gets the message it
+        # gives alone, and the others their values
         nan_at_half = lambda xs: np.where(xs == 0.5, np.nan, 1.0 + xs)
         beta = ScaledBeta(0.0, 1.0, alpha=2.0, beta=3.0)
         jobs = [
@@ -619,9 +641,10 @@ class TestCurveMajorSampling:
             (Product(beta.density, nan_at_half), 0.6, 1.0, ()),
         ]
         got = integrate_many(jobs)
-        assert len(got) == 2
+        assert len(got) == 3
         assert _bits(got[1]) == ["QuadratureError", "integrand returned a non-finite value at x=0.5"]
         assert [_bits(r) for r in got] == [_bits(r) for r in integrate_many(_as_lambdas(jobs))]
+        assert [_bits(r) for r in got] == [_bits(_alone(*job)) for job in jobs]
 
     def test_product_is_its_factors_multiplied_in_order(self):
         f = Product(np.exp, np.sin, np.sqrt)
@@ -652,17 +675,18 @@ _panel = st.tuples(st.floats(-3.0, 3.0), st.floats(1e-6, 2.0)).map(lambda p: (p[
 
 def _estimated(fs, panels):
     """_estimates of each integral fs[k] over its panels panels[k], all
-    in one batch: each integral's estimates and errors, up to the first
-    failure, and that integral's exception."""
+    in one batch: each integral's estimates and errors, and its
+    exception if it failed (None if not)."""
     sizes = [len(p) for p in panels]
     grid = np.zeros((5, sum(sizes)))
     grid[:2] = np.array([ab for p in panels for ab in p]).T
     results = [None] * len(fs)
     integrands = numerics._Integrands(dict(enumerate(fs)))
-    cut = numerics._estimates(integrands, list(range(len(fs))), sizes, grid, len(fs), results)
+    failed = numerics._estimates(integrands, list(range(len(fs))), sizes, grid, results)
+    assert failed == [k for k, r in enumerate(results) if r is not None]
     starts = np.cumsum([0, *sizes])
-    rows = [grid[3:, starts[k] : starts[k + 1]].tobytes() for k in range(cut)]
-    return rows, [_bits(r) for r in results[cut : cut + 1]]
+    rows = [grid[3:, starts[k] : starts[k + 1]].tobytes() for k in range(len(fs))]
+    return rows, [r if r is None else _bits(r) for r in results]
 
 
 class TestRowIndependence:
@@ -673,11 +697,63 @@ class TestRowIndependence:
     @given(st.lists(st.tuples(_integrand, st.lists(_panel, min_size=1, max_size=5)), min_size=1, max_size=6))
     def test_panel_bits_alone_and_stacked(self, jobs):
         fs, panels = zip(*jobs)
-        rows, failure = _estimated(fs, panels)
+        rows, failures = _estimated(fs, panels)
         alone = [_estimated([f], [p]) for f, p in zip(fs, panels)]
-        assert rows == [r for (r,), _ in alone[: len(rows)]]
-        if failure:
-            assert failure == alone[len(rows)][1]
+        assert rows == [r for (r,), _ in alone]
+        assert failures == [f for _, (f,) in alone]
+
+
+
+def _raises(xs):
+    raise ZeroDivisionError("integrand bug")
+
+
+def _raises_once_split(xs):
+    # a solo call on more than one panel's nodes: a failure after the
+    # opening round of a one-panel job that needs refining
+    if len(xs) > 15:
+        raise ZeroDivisionError("integrand bug past the opening round")
+    return np.sqrt(xs)
+
+
+def _nan_near_zero(xs):
+    # refinement toward the root's steep end reaches these nodes only
+    # after several rounds
+    return np.where(xs < 1e-6, np.nan, np.sqrt(xs))
+
+
+def _pole(x):
+    return 1.0 / max(x, 1e-300)
+
+
+_job = st.one_of(
+    st.tuples(_integrand, _panel).map(lambda j: (j[0], *j[1], ())),
+    st.sampled_from([
+        (_raises, 0.0, 1.0, ()),
+        (_raises_once_split, 0.0, 1.0, ()),
+        (_nan_near_zero, 0.0, 1.0, ()),
+        (_nan_above, 0.0, 1.0, ()),
+        (_pole, 0.0, 1.0, ()),
+        (np.exp, 1.0, 0.0, ()),
+        (np.exp, 0.0, math.inf, ()),
+        (np.exp, 2.0, 2.0, ()),
+    ]),
+)
+
+
+class TestOutcomesAlone:
+    """integrate_many(jobs)[n] is integrate_many([jobs[n]])[0], bit for
+    bit or the same exception type and message, whatever fails before or
+    after job n."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(_job, min_size=1, max_size=8),
+        st.sampled_from([None, QuadratureSpec(max_subdivision_depth=8)]),
+    )
+    def test_each_outcome_is_the_job_alone(self, jobs, spec):
+        alone = [_bits(integrate_many([job], spec)[0]) for job in jobs]
+        assert [_bits(r) for r in integrate_many(jobs, spec)] == alone
 
 
 if __name__ == "__main__":

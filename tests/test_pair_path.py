@@ -2,9 +2,10 @@
 all of its EU and EDU integrals to one integrate_many batch.
 
 Each function is checked against a loop over the public one-pair
-functions, written out here: the batch must give the same bits, raise
-the same first exception with the same message, and integrate no job the
-loop would not reach."""
+functions, written out here: the batch must give the same bits and raise
+the same first exception with the same message. When nothing fails it
+integrates exactly the loop's jobs; on failing input it may integrate
+jobs after the failure that the loop never reaches."""
 
 import io
 import json
@@ -194,8 +195,9 @@ class TestOneBatchAgainstTheLoop:
         quadrature_batches.clear()
         assert _outcome(lambda: batch(curves)) == want
         pair_batches = [n for module, n in quadrature_batches if module == "duality"]
-        # one batch, and no job in it that the loop would not integrate
-        assert pair_batches == [loop_jobs]
+        # one batch, of the loop's jobs when nothing fails
+        assert len(pair_batches) == 1 and pair_batches[0] >= loop_jobs
+        assert isinstance(want, tuple) or pair_batches == [loop_jobs]
 
     @pytest.mark.parametrize("F", [LOTS[0], LOTS[1], BAD["step"], BAD["singular"]])
     def test_exponential_chain(self, quadrature_batches, F):
@@ -203,7 +205,8 @@ class TestOneBatchAgainstTheLoop:
         loop_jobs = sum(n for _, n in quadrature_batches)
         quadrature_batches.clear()
         assert _outcome(lambda: batch_chain(F)) == want
-        assert [n for _, n in quadrature_batches] == [loop_jobs]
+        assert len(quadrature_batches) == 1 and quadrature_batches[0][1] >= loop_jobs
+        assert isinstance(want, tuple) or quadrature_batches[0][1] == loop_jobs
 
     def test_the_bad_cases_raise(self):
         # the comparison above covers failures, not only values
@@ -308,6 +311,13 @@ class TestDominanceReport:
         report = dominance_report(A, B, LOTS)
         assert len(report.chains) == len(LOTS) and report.implications is not None
         assert quadrature_batches == [("duality", 4 * len(LOTS)), ("numerics", 3), ("numerics", 3)]
+
+    def test_no_reader_no_batch(self, quadrature_batches):
+        # B sits above the linear utility, so no implications, and the
+        # pair is not both exponential, so no chains: nothing to integrate
+        report = dominance_report(B, Linear(0.0, 1.0), LOTS)
+        assert report.implications is None and report.chains == ()
+        assert quadrature_batches == []
 
     @pytest.mark.parametrize("F", LOTS)
     def test_single_chain_is_the_list_form(self, F):

@@ -120,9 +120,9 @@ class TestMatrixAgainstCellLoop:
         loop = sum(n for _, n in quadrature_batches)
         quadrature_batches.clear()
         assert _batched_matrix(lotteries, utilities) == want
-        # no cell after the failing one is handed to the batch
+        # one batch, which also integrates the cells after the failing one
         assert len(quadrature_batches) == 1
-        assert quadrature_batches[0][1] == loop
+        assert quadrature_batches[0][1] >= loop
 
     def test_first_quadrature_failure(self):
         # at depth 2, cells (1, 1), (1, 2) and (2, 2) exhaust it
