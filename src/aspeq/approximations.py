@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import Curve, ExponentialNormalized, SingularDensityError, StepFunctionError
+from .curves import Curve, SingularDensityError, StepFunctionError
 from .duality import DomainMismatchError, certain_equivalent
 from .numerics import MAX_CUMULANT_ORDER, QuadratureSpec, central_difference, cumulants
 from .numerics import integrate, merge_knots
@@ -175,7 +175,7 @@ def ae_cumulant_series(
     (-1)^(k+1) lam^(k-1) kappa_k / k!; when the magnitudes grow past k=3
     the truncation is diverging and a SeriesDivergenceWarning says so.
     """
-    if not isinstance(F, ExponentialNormalized):
+    if F.gamma is None:
         raise ValueError(
             f"cumulant series needs an exponential_normalized lottery, got {F.kind}"
         )

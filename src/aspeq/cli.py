@@ -36,13 +36,13 @@ from .approximations import (
     ae_taylor2,
     ce_taylor2,
 )
-from .curves import Curve, CurveError, CurveParameterError, ExponentialNormalized
+from .curves import Curve, CurveError, CurveParameterError
 from .delegation import DEFAULT_FRACTILE, desiderata_report, update_target
 from .dominance import DEFAULT_GRID, MIN_GRID, dominance_report
-from .duality import DomainMismatchError, UnattainableTargetError, _aspiration_from, _certain_from
-from .duality import _effective_root, _pair_values, _read, evaluate_pairs, exponential_or_linear
+from .duality import DomainMismatchError, PairBatch, UnattainableTargetError, effective_root
+from .duality import evaluate_pairs, exponential_or_linear
 from .numerics import DEFAULT_QUADRATURE, MAX_CUMULANT_ORDER, NumericsError, QuadratureSpec
-from .scenarios import Scenario, ScenarioError, _number, load_scenario
+from .scenarios import Scenario, ScenarioError, finite_number, load_scenario
 from .selection import EvalMatrix, allocate_eu_matrix, allocation_sums, evaluate_matrix, find_pure_saddle
 
 
@@ -218,12 +218,12 @@ def _gamma_grid(scenario: Scenario, n: int) -> list[tuple[float, Curve]]:
         raw = scenario.params["gammas"]
         if not isinstance(raw, list) or not raw:
             raise ScenarioError("gammas: expected a nonempty list of numbers")
-        gammas = [(_number(g, f"gammas[{k}]"), f"gammas[{k}]") for k, g in enumerate(raw)]
+        gammas = [(finite_number(g, f"gammas[{k}]"), f"gammas[{k}]") for k, g in enumerate(raw)]
     elif "gamma_range" in scenario.params:
         raw = scenario.params["gamma_range"]
         if not isinstance(raw, list) or len(raw) != 2:
             raise ScenarioError("gamma_range: expected [first, last]")
-        g0, g1 = _number(raw[0], "gamma_range[0]"), _number(raw[1], "gamma_range[1]")
+        g0, g1 = finite_number(raw[0], "gamma_range[0]"), finite_number(raw[1], "gamma_range[1]")
         gammas = [(g0 + (g1 - g0) * k / (n - 1), "gamma_range") for k in range(n)]
     else:
         raise ScenarioError("sweep needs either gammas or gamma_range in the scenario")
@@ -257,7 +257,7 @@ def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> _Out:
 def _cmd_update_target(scenario: Scenario, args: argparse.Namespace) -> _Out:
     old_name = _need(scenario, "old_lottery")
     new_name = _need(scenario, "new_lottery")
-    target = _number(_need(scenario, "target"), "target")
+    target = finite_number(_need(scenario, "target"), "target")
     old = scenario.lottery(old_name)
     new = scenario.lottery(new_name)
     upd = update_target(old, target, new, args.spec)
@@ -457,13 +457,13 @@ def _cmd_approx(scenario: Scenario, args: argparse.Namespace) -> _Out:
     moments_of = cache(lambda curve: curve.density_moments(spec))
     pairs = [(f, u) for f in scenario.lotteries for u in scenario.utilities]
     # every pair's exact CE and AE in one batch, each read where ce_taylor2 or ae_taylor2 integrates it
-    integrals = iter(_pair_values([(f.curve, u.curve, role) for f, u in pairs for role in ("eu", "edu")], spec))
+    batch = PairBatch([(f.curve, u.curve, role) for f, u in pairs for role in ("eu", "edu")], spec)
 
     for fn_named, un_named in pairs:
         fn, un = fn_named.name, un_named.name
         F, U = fn_named.curve, un_named.curve
-        ce = ce_taylor2(F, U, spec, moments_of(F), lambda: _certain_from(U, _read(next(integrals)), spec))
-        ae = ae_taylor2(F, U, spec, moments_of(U), lambda: _certain_from(F, _read(next(integrals)), spec))
+        ce = ce_taylor2(F, U, spec, moments_of(F), lambda: batch.certain_equivalent(F, U))
+        ae = ae_taylor2(F, U, spec, moments_of(U), lambda: batch.aspiration_equivalent(F, U))
         values = {
             "lottery_mean": ce.first_moment,
             "lottery_var": ce.central_second_moment,
@@ -483,7 +483,7 @@ def _cmd_approx(scenario: Scenario, args: argparse.Namespace) -> _Out:
             out.line(f"  {label}: {_fmt(value)}")
         record(fn, un, values)
         pair_doc: dict[str, Any] = {"lottery": fn, "utility": un, **values}
-        if isinstance(F, ExponentialNormalized) and F.gamma > 0 and not U.is_step:
+        if F.gamma is not None and F.gamma > 0 and not U.is_step:
             with warnings.catch_warnings():
                 # the divergence verdict is printed below; the Python
                 # warning would say it twice
@@ -506,15 +506,14 @@ def _cmd_approx(scenario: Scenario, args: argparse.Namespace) -> _Out:
 
 
 def _cmd_solve_gamma(scenario: Scenario, args: argparse.Namespace) -> _Out:
-    target = _number(_need(scenario, "target"), "target")
+    target = finite_number(_need(scenario, "target"), "target")
     if len(scenario.lotteries) == 1:
         name = scenario.lotteries[0].name
     else:
         name = _need(scenario, "lottery")
     f = scenario.lottery(name)
-    g, edu = _effective_root(f, target, args.spec)
+    g, achieved = effective_root(f, target, args.spec)
     u = exponential_or_linear(scenario.lo, scenario.hi, g)
-    achieved = _aspiration_from(f, edu, args.spec)
     rt = u.tolerance_at(scenario.lo)
     out = _Out()
     out.line(f"lottery {name}, target {_fmt(target)}")

@@ -73,6 +73,7 @@ class Curve:
     hi: float
 
     kind: ClassVar[str] = ""
+    gamma: ClassVar[float | None] = None  # an exponential kind's constant curvature
     # scenario-file parameter name -> field; a field defaulting to None
     # is optional, every other one is required
     params: ClassVar[dict[str, str]] = {}

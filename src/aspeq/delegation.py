@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from .curves import Curve
 from .duality import (
     DomainMismatchError,
-    _aspiration_from,
-    _effective_root,
-    _pair_values,
-    _read,
+    PairBatch,
     aspiration_equivalent,
+    effective_root,
     evaluate_pairs,
     exceedance_probability,
     exponential_or_linear,
@@ -90,7 +88,8 @@ def choose_by_eu(
     """Index of the lottery with the highest expected utility."""
     if not lotteries:
         raise ValueError("need at least one lottery")
-    return _argmax([_read(eu) for eu in _pair_values([(f, utility, "eu") for f in lotteries], spec)])
+    batch = PairBatch([(f, utility, "eu") for f in lotteries], spec)
+    return _argmax([batch.expected_utility(f, utility) for f in lotteries])
 
 
 def choose_by_aspiration(
@@ -105,8 +104,8 @@ def choose_by_aspiration(
     """
     if not lotteries:
         raise ValueError("need at least one lottery")
-    edus = _pair_values([(f, utility, "edu") for f in lotteries], spec)
-    targets = [_aspiration_from(f, _read(edu), spec) for f, edu in zip(lotteries, edus)]
+    batch = PairBatch([(f, utility, "edu") for f in lotteries], spec)
+    targets = [batch.aspiration_equivalent(f, utility) for f in lotteries]
     exceed = [exceedance_probability(f, t) for f, t in zip(lotteries, targets)]
     return AspirationChoice(
         index=_argmax(exceed), targets=tuple(targets), exceedance=tuple(exceed)
@@ -138,7 +137,7 @@ def update_target(
             f"new on [{new_lottery.lo!r}, {new_lottery.hi!r}]; the curvature "
             "carried over is only meaningful on one shared interval"
         )
-    g, old_edu = _effective_root(old_lottery, old_target, spec)
+    g, round_trip = effective_root(old_lottery, old_target, spec)
     u = exponential_or_linear(new_lottery.lo, new_lottery.hi, g)
     new_target = aspiration_equivalent(new_lottery, u, spec)
     return TargetUpdate(
@@ -149,7 +148,7 @@ def update_target(
         new_target=new_target,
         old_exceed_prob=exceedance_probability(old_lottery, old_target),
         new_exceed_prob=exceedance_probability(new_lottery, new_target),
-        round_trip_target=_aspiration_from(old_lottery, old_edu, spec),
+        round_trip_target=round_trip,
     )
 
 

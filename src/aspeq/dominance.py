@@ -28,15 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import Curve, ExponentialNormalized, StepFunctionError
-from .duality import (
-    DomainMismatchError,
-    _aspiration_from,
-    _certain_from,
-    _pair_values,
-    _read,
-    exponential_or_linear,
-)
+from .curves import Curve, StepFunctionError
+from .duality import DomainMismatchError, PairBatch, exponential_or_linear
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate, merge_knots
 
 GRID_TOLERANCE = 1e-9
@@ -176,11 +169,8 @@ def _report(
     if implied and A dominates B, and given A's and B's gammas, each
     lottery's exponential chain.
 
-    The batch holds each lottery's EU and EDU under A and under B; each
-    job's outcome is what it gives alone, so each value and the first
-    error are what reading one lottery at a time gives, whichever reader
-    reads first. With neither implications nor chains to read it, nothing
-    is integrated.
+    The batch holds each lottery's EU and EDU under A and under B. With
+    neither implications nor chains to read it, nothing is integrated.
     """
     xs, a, b = _on_grid(A, B, grid_points)
     diff = a - b
@@ -190,21 +180,17 @@ def _report(
     implied = implied and verdict.dominates
     swapped = gammas is not None and gammas[0] > gammas[1]
     flat, steep = (B, A) if swapped else (A, B)
-    keys = [(k, U, role) for k in range(len(lotteries)) for U in (A, B) for role in ("eu", "edu")]
-    outcomes = {}
-    if keys and (implied or gammas is not None):
-        outcomes = dict(zip(keys, _pair_values([(lotteries[k], U, role) for k, U, role in keys], spec)))
-
-    def value(k: int, U: Curve, role: str) -> float:
-        return _read(outcomes[k, U, role])
+    jobs = [(f, U, role) for f in lotteries for U in (A, B) for role in ("eu", "edu")]
+    batch = PairBatch(jobs, spec) if jobs and (implied or gammas is not None) else None
 
     implications = None
     if implied:
         margins = []
-        for k, f in enumerate(lotteries):
-            edu_a, edu_b = value(k, A, "edu"), value(k, B, "edu")
-            ae_margin = _aspiration_from(f, edu_a, spec) - _aspiration_from(f, edu_b, spec)
-            margins.append(LotteryMargins(edu_a - edu_b, ae_margin, value(k, B, "eu") - value(k, A, "eu")))
+        for f in lotteries:
+            edu_a, edu_b = batch.expected_disutility(f, A), batch.expected_disutility(f, B)
+            ae_margin = batch.aspiration_equivalent(f, A) - batch.aspiration_equivalent(f, B)
+            eu_margin = batch.expected_utility(f, B) - batch.expected_utility(f, A)
+            margins.append(LotteryMargins(edu_a - edu_b, ae_margin, eu_margin))
         mean_a, _ = A.density_moments(spec)
         mean_b, _ = B.density_moments(spec)
         implications = ImplicationReport(
@@ -219,12 +205,13 @@ def _report(
         # steep - flat itself: -diff would turn a 0.0 gap into -0.0
         pointwise = float(((a - b) if swapped else (b - a)).min())
 
-        def equivalents(k: int, U: Curve) -> tuple[float, float, float]:
-            eu, edu = value(k, U, "eu"), value(k, U, "edu")
-            return eu, _certain_from(U, eu, spec), _aspiration_from(lotteries[k], edu, spec)
+        def equivalents(f: Curve, U: Curve) -> tuple[float, float, float]:
+            # EDU is read before CE, as evaluate_pair reads them
+            eu, _ = batch.expected_utility(f, U), batch.expected_disutility(f, U)
+            return eu, batch.certain_equivalent(f, U), batch.aspiration_equivalent(f, U)
 
-        for k in range(len(lotteries)):
-            (eu_a, ce_a, ae_a), (eu_b, ce_b, ae_b) = (equivalents(k, U) for U in (flat, steep))
+        for f in lotteries:
+            (eu_a, ce_a, ae_a), (eu_b, ce_b, ae_b) = (equivalents(f, U) for U in (flat, steep))
             chains.append(
                 ChainReport(*sorted(gammas), pointwise, eu_b - eu_a, ae_a - ae_b, ce_a - ce_b)
             )
@@ -243,8 +230,7 @@ def dominance_report(
     and when A and B are both exponential, exponential_chain of their
     gammas on each lottery. One grid and one pair batch serve them all;
     each value, and the first error, is what the separate calls give."""
-    exponential = isinstance(A, ExponentialNormalized) and isinstance(B, ExponentialNormalized)
-    gammas = (A.gamma, B.gamma) if exponential else None
+    gammas = None if A.gamma is None or B.gamma is None else (A.gamma, B.gamma)
     return _report(A, B, lotteries, grid_points, spec, bool(lotteries), gammas)
 
 

@@ -19,11 +19,11 @@ probability of exceeding the aspiration equivalent, 1 - F(AE), equals EU.
 Maximizing exceedance over lotteries is therefore the same decision as
 maximizing expected utility; delegation builds on exactly that.
 
-Every EU and EDU, one or many, reaches the quadrature the same way: as a
-(lottery, utility, role) job in one lockstep batch (_pair_values). Each
-job's outcome, its value or its error, is what it gives alone, so a
-reader that raises the first error it reads raises what one-at-a-time
-calls raise, in any reading order; a one-pair function is a batch of one.
+Every EU and EDU, one or many, is a (lottery, utility, role) job of a
+PairBatch, one lockstep batch read by pair. Each job's outcome, its value
+or its error, is what it gives alone, so a reader raises the first error
+one-at-a-time calls raise, in any reading order; a one-pair function is
+a batch of one.
 """
 
 from __future__ import annotations
@@ -118,28 +118,56 @@ def _pair_job(lottery: Curve, utility: Curve, role: str) -> float | tuple:
     return (Product(weight.density, curve.value), weight.lo, weight.hi, knots)
 
 
-def _pair_values(
-    jobs: Iterable[tuple[Curve, Curve, str]], spec: QuadratureSpec | None
-) -> list[float | Exception]:
-    """The outcome of expected_utility (role "eu") or expected_disutility
-    ("edu") for each (lottery, utility, role) job: its value, or the
-    exception that function raises for it. Every quadrature runs in one
-    integrate_many batch; read each outcome through _read."""
-    prepared = []
-    for lottery, utility, role in jobs:
-        try:
-            prepared.append(_pair_job(lottery, utility, role))
-        except Exception as exc:  # raised when its job is read
-            prepared.append(exc)
-    values = iter(integrate_many([job for job in prepared if isinstance(job, tuple)], spec))
-    return [next(values) if isinstance(job, tuple) else job for job in prepared]
+class PairBatch:
+    """expected_utility (role "eu") or expected_disutility ("edu") of each
+    (lottery, utility, role) job, integrated in one integrate_many batch,
+    equal jobs once. Each method returns, or raises, what the one-pair
+    function of its name does."""
 
+    def __init__(self, jobs: Iterable[tuple[Curve, Curve, str]], spec: QuadratureSpec | None = None) -> None:
+        self.spec = spec
+        self._slots: dict[tuple[Curve, Curve, str], int] = {}
+        for job in jobs:
+            self._slots.setdefault(job, len(self._slots))
+        self._outcomes: list = []
+        for job in self._slots:
+            try:
+                self._outcomes.append(_pair_job(*job))
+            except Exception as exc:  # raised when its job is read
+                self._outcomes.append(exc)
+        quadratures = [n for n, job in enumerate(self._outcomes) if isinstance(job, tuple)]
+        for n, outcome in zip(quadratures, integrate_many([self._outcomes[n] for n in quadratures], spec)):
+            self._outcomes[n] = outcome
 
-def _read(outcome: float | Exception) -> float:
-    """A _pair_values outcome's value, raising the exception it holds."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    def _value(self, lottery: Curve, utility: Curve, role: str) -> float:
+        outcome = self._outcomes[self._slots[lottery, utility, role]]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def expected_utility(self, lottery: Curve, utility: Curve) -> float:
+        return self._value(lottery, utility, "eu")
+
+    def expected_disutility(self, lottery: Curve, utility: Curve) -> float:
+        return self._value(lottery, utility, "edu")
+
+    def certain_equivalent(self, lottery: Curve, utility: Curve) -> float:
+        eu = self._value(lottery, utility, "eu")
+        if utility.is_step:
+            raise StepFunctionError(
+                "certain equivalent under a step utility is degenerate: the "
+                "inverse is a single point whenever EU is strictly inside (0,1)"
+            )
+        return _invert(utility, eu, self.spec)
+
+    def aspiration_equivalent(self, lottery: Curve, utility: Curve) -> float:
+        edu = self._value(lottery, utility, "edu")
+        if lottery.is_step:
+            raise StepFunctionError(
+                "aspiration equivalent of a step lottery is degenerate; the "
+                "lottery is the sure amount at its threshold"
+            )
+        return _invert(lottery, edu, self.spec)
 
 
 def _invert(curve: Curve, p: float, spec: QuadratureSpec | None) -> float:
@@ -157,30 +185,12 @@ def _invert(curve: Curve, p: float, spec: QuadratureSpec | None) -> float:
     return curve.quantile(p)
 
 
-def _certain_from(utility: Curve, eu: float, spec: QuadratureSpec | None) -> float:
-    if utility.is_step:
-        raise StepFunctionError(
-            "certain equivalent under a step utility is degenerate: the "
-            "inverse is a single point whenever EU is strictly inside (0,1)"
-        )
-    return _invert(utility, eu, spec)
-
-
-def _aspiration_from(lottery: Curve, edu: float, spec: QuadratureSpec | None) -> float:
-    if lottery.is_step:
-        raise StepFunctionError(
-            "aspiration equivalent of a step lottery is degenerate; the "
-            "lottery is the sure amount at its threshold"
-        )
-    return _invert(lottery, edu, spec)
-
-
 def expected_utility(
     lottery: Curve, utility: Curve, spec: QuadratureSpec | None = None
 ) -> float:
     """Integral of lottery density times utility value. A step lottery at
     t gives U(t); a step utility at t gives 1 - F(t)."""
-    return _read(_pair_values([(lottery, utility, "eu")], spec)[0])
+    return PairBatch([(lottery, utility, "eu")], spec).expected_utility(lottery, utility)
 
 
 def expected_disutility(
@@ -188,14 +198,14 @@ def expected_disutility(
 ) -> float:
     """Integral of utility density times lottery value: expected_utility
     with the two roles swapped, integrated on its own."""
-    return _read(_pair_values([(lottery, utility, "edu")], spec)[0])
+    return PairBatch([(lottery, utility, "edu")], spec).expected_disutility(lottery, utility)
 
 
 def certain_equivalent(
     lottery: Curve, utility: Curve, spec: QuadratureSpec | None = None
 ) -> float:
     """Sure amount with the same utility as the lottery: U^-1(EU)."""
-    return _certain_from(utility, expected_utility(lottery, utility, spec), spec)
+    return PairBatch([(lottery, utility, "eu")], spec).certain_equivalent(lottery, utility)
 
 
 def aspiration_equivalent(
@@ -203,7 +213,7 @@ def aspiration_equivalent(
 ) -> float:
     """Outcome level whose step utility matches the pair's expected
     utility: F^-1(EDU). Exceeding it has probability exactly EU."""
-    return _aspiration_from(lottery, expected_disutility(lottery, utility, spec), spec)
+    return PairBatch([(lottery, utility, "edu")], spec).aspiration_equivalent(lottery, utility)
 
 
 def exceedance_probability(lottery: Curve, x: float) -> float:
@@ -230,10 +240,14 @@ def evaluate_pairs(
 
     Every pair's EU and EDU are integrated in one lockstep batch before
     the first result is yielded."""
-    outcomes = iter(_pair_values([(f, u, role) for f, u in pairs for role in ("eu", "edu")], spec))
+    batch = PairBatch([(f, u, role) for f, u in pairs for role in ("eu", "edu")], spec)
     for f, u in pairs:
-        eu, edu = _read(next(outcomes)), _read(next(outcomes))
-        yield DualityResult(eu, edu, _certain_from(u, eu, spec), _aspiration_from(f, edu, spec))
+        yield DualityResult(
+            batch.expected_utility(f, u),
+            batch.expected_disutility(f, u),
+            batch.certain_equivalent(f, u),
+            batch.aspiration_equivalent(f, u),
+        )
 
 
 def effective_gamma(
@@ -252,18 +266,14 @@ def effective_gamma(
     RootBracket's value tolerance whatever the spec. gamma = 0 inside the
     bracket is evaluated through the linear curve, where the exponential
     formula degenerates.
-
-    Returns the curvature alone; _effective_root also hands back the EDU
-    integrated at it, the integral an aspiration equivalent at that
-    curvature reads.
     """
-    return _effective_root(lottery, target, spec)[0]
+    return effective_root(lottery, target, spec)[0]
 
 
-def _effective_root(
-    lottery: Curve, target: float, spec: QuadratureSpec | None
+def effective_root(
+    lottery: Curve, target: float, spec: QuadratureSpec | None = None
 ) -> tuple[float, float]:
-    """effective_gamma, and expected_disutility(lottery, its utility)
+    """effective_gamma, and aspiration_equivalent(lottery, its utility)
     with the bits of that call: the root is a point the search evaluated,
     so its EDU is read back, not integrated again."""
     lo, hi = lottery.lo, lottery.hi
@@ -280,12 +290,12 @@ def _effective_root(
             "target sits in a zero-mass tail"
         )
 
-    @cache  # find_root reuses the bracket ends and returns a point evaluated here
-    def edu(g: float) -> float:
-        return expected_disutility(lottery, exponential_or_linear(lo, hi, g), spec)
+    # find_root reuses the bracket ends and returns a point evaluated here
+    utility = cache(lambda g: exponential_or_linear(lo, hi, g))
+    batch = cache(lambda g: PairBatch([(lottery, utility(g), "edu")], spec))
 
     def gap(g: float) -> float:
-        return edu(g) - p
+        return batch(g).expected_disutility(lottery, utility(g)) - p
 
     g_lo, g_hi = -1.0 / span, 1.0 / span
     f_lo, f_hi = gap(g_lo), gap(g_hi)
@@ -303,4 +313,4 @@ def _effective_root(
             f"cumulative probability {p!r} at the target"
         )
     g = find_root(gap, RootBracket(g_lo, g_hi))
-    return g, edu(g)
+    return g, batch(g).aspiration_equivalent(lottery, utility(g))

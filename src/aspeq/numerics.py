@@ -474,7 +474,15 @@ def _refine(integrands, sizes: list[int], ends: np.ndarray, spec: QuadratureSpec
             # merge, each integral's kept panels, then its new ones
             new = new[:, np.argsort(np.concatenate([row[split], row[split]]), kind="stable")]
         new_sizes = [2 * c for c in counts]
-        failed += _estimates(integrands, ids, new_sizes, new, results)
+        if not failed:
+            failed = _estimates(integrands, ids, new_sizes, new, results)
+        elif len(failed) < len(ids):  # a stuck integral's halves go unsampled: the next test retires it
+            fresh = [k for k in range(len(ids)) if k not in failed]
+            cols = np.repeat(np.isin(np.arange(len(ids)), fresh), new_sizes)
+            sampled = new[:, cols]
+            out = _estimates(integrands, [ids[k] for k in fresh], [new_sizes[k] for k in fresh], sampled, results)
+            new[:, cols] = sampled
+            failed += [fresh[j] for j in out]
 
         keep = np.ones(len(error), dtype=bool)
         keep[split] = False

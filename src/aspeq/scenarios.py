@@ -73,7 +73,7 @@ def _by_name(entries: tuple[NamedCurve, ...], name: str, which: str) -> Curve:
     raise ScenarioError(f"{which}: no curve named {name!r} (have: {known})")
 
 
-def _number(obj: Any, path: str) -> float:
+def finite_number(obj: Any, path: str) -> float:
     # json reads NaN and Infinity as floats, and integers of any size; no
     # parameter accepts them
     try:
@@ -123,13 +123,13 @@ def _parse_curve(obj: Any, lo: float, hi: float, path: str) -> NamedCurve:
                     )
                 pts.append(
                     (
-                        _number(pair[0], f"{path}.{json_name}[{k}][0]"),
-                        _number(pair[1], f"{path}.{json_name}[{k}][1]"),
+                        finite_number(pair[0], f"{path}.{json_name}[{k}][0]"),
+                        finite_number(pair[1], f"{path}.{json_name}[{k}][1]"),
                     )
                 )
             kwargs[ctor_name] = tuple(pts)
         else:
-            kwargs[ctor_name] = _number(raw, f"{path}.{json_name}")
+            kwargs[ctor_name] = finite_number(raw, f"{path}.{json_name}")
     try:
         curve = cls(lo, hi, **kwargs)
     except CurveParameterError as exc:
@@ -161,10 +161,10 @@ def _parse_published(obj: Any) -> tuple[tuple[str, float, float | None], ...]:
             raise ScenarioError(f"published[{i}]: expected an object with key and value")
         if not isinstance(entry["key"], str):
             raise ScenarioError(f"published[{i}].key: expected a string")
-        value = _number(entry["value"], f"published[{i}].value")
+        value = finite_number(entry["value"], f"published[{i}].value")
         tolerance = entry.get("tolerance")
         if tolerance is not None:
-            tolerance = _number(tolerance, f"published[{i}].tolerance")
+            tolerance = finite_number(tolerance, f"published[{i}].tolerance")
         entries.append((entry["key"], value, tolerance))
     return tuple(entries)
 
@@ -175,8 +175,8 @@ def parse_scenario(obj: Any) -> Scenario:
     domain = obj.get("domain")
     if not isinstance(domain, dict):
         raise ScenarioError("domain: expected an object with lo and hi")
-    lo = _number(domain.get("lo"), "domain.lo")
-    hi = _number(domain.get("hi"), "domain.hi")
+    lo = finite_number(domain.get("lo"), "domain.lo")
+    hi = finite_number(domain.get("hi"), "domain.hi")
     if lo >= hi:
         raise ScenarioError(f"domain: need lo < hi, got [{lo!r}, {hi!r}]")
     unit = domain.get("unit", "")

@@ -22,14 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import Curve
-from .duality import (
-    DomainMismatchError,
-    DualityResult,
-    _aspiration_from,
-    _pair_values,
-    _read,
-    evaluate_pairs,
-)
+from .duality import DomainMismatchError, DualityResult, PairBatch, evaluate_pairs
 from .numerics import QuadratureSpec
 
 SADDLE_TOLERANCE = 1e-9
@@ -95,9 +88,9 @@ def dual_select(
     ranking them through F's quantile cannot disagree."""
     if not utilities:
         raise ValueError("need at least one utility")
-    values = iter(_pair_values([(lottery, u, role) for role in ("eu", "edu") for u in utilities], spec))
-    eus = [_read(next(values)) for u in utilities]
-    aes = [_aspiration_from(lottery, _read(next(values)), spec) for u in utilities]
+    batch = PairBatch([(lottery, u, role) for role in ("eu", "edu") for u in utilities], spec)
+    eus = [batch.expected_utility(lottery, u) for u in utilities]
+    aes = [batch.aspiration_equivalent(lottery, u) for u in utilities]
     by_eu = 0
     for j, v in enumerate(eus):
         if v < eus[by_eu]:
@@ -184,8 +177,8 @@ def saddle_allocate(
 ) -> Allocation:
     """allocate_eu_matrix on the EU matrix of lotteries x utilities,
     integrated in one batch."""
-    values = iter(_pair_values([(f, u, "eu") for f in lotteries for u in utilities], spec))
-    eu = [[_read(next(values)) for u in utilities] for f in lotteries]
+    batch = PairBatch([(f, u, "eu") for f in lotteries for u in utilities], spec)
+    eu = [[batch.expected_utility(f, u) for u in utilities] for f in lotteries]
     return allocate_eu_matrix(eu)
 
 

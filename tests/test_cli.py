@@ -354,14 +354,24 @@ class TestApprox:
         # every pair's exact CE and AE come from one batch; integrating
         # each where it is read instead prints, and fails, the same
         import aspeq.cli
-        from aspeq.duality import _pair_values
+        from aspeq import aspiration_equivalent, certain_equivalent
 
         scenario = {**BASIC, "lotteries": [*BASIC["lotteries"], {"name": "tri", "kind": "triangular"}]}
         scenario["utilities"] = [*BASIC["utilities"], {"name": "extra", **extra}]
         path = write_scenario(tmp_path, scenario)
         batched = run("approx", "--scenario", path), capsys.readouterr().err
-        one_at_a_time = lambda jobs, spec: (_pair_values([job], spec)[0] for job in jobs)
-        monkeypatch.setattr(aspeq.cli, "_pair_values", one_at_a_time)
+
+        class OneAtATime:
+            def __init__(self, jobs, spec):
+                self.spec = spec
+
+            def certain_equivalent(self, f, u):
+                return certain_equivalent(f, u, self.spec)
+
+            def aspiration_equivalent(self, f, u):
+                return aspiration_equivalent(f, u, self.spec)
+
+        monkeypatch.setattr(aspeq.cli, "PairBatch", OneAtATime)
         assert (run("approx", "--scenario", path), capsys.readouterr().err) == batched
 
     def test_moments_once_per_curve(self, monkeypatch):

@@ -29,7 +29,7 @@ from aspeq import (
     expected_utility,
     exponential_or_linear,
 )
-from aspeq.duality import GAMMA_SPAN_CAP, _effective_root, _invert, evaluate_pairs
+from aspeq.duality import GAMMA_SPAN_CAP, _invert, effective_root, evaluate_pairs
 from aspeq.numerics import NumericsError, QuadratureSpec
 
 
@@ -255,11 +255,12 @@ class TestEffectiveGamma:
         ids=lambda F: F.kind,
     )
     def test_root_edu_is_the_integral_at_the_root(self, F, level):
-        # the EDU the root hands back has the bits of integrating it again
+        # the aspiration equivalent the root hands back, read from the EDU
+        # the search integrated there, has the bits of integrating it again
         target = float(f"{F.quantile(level):.6g}")
-        g, edu = _effective_root(F, target, None)
+        g, ae = effective_root(F, target, None)
         assert g == effective_gamma(F, target)
-        assert edu == expected_disutility(F, exponential_or_linear(0.0, 200.0, g))
+        assert ae == aspiration_equivalent(F, exponential_or_linear(0.0, 200.0, g))
 
     def test_round_trip_on_interior_target(self):
         F = ScaledBeta(0.0, 10.0, alpha=4.0, beta=6.0)

@@ -19,6 +19,7 @@ from aspeq import (
     ExponentialNormalized,
     Linear,
     LogWealth,
+    PairBatch,
     PiecewiseLinear,
     ScaledBeta,
     Step,
@@ -46,8 +47,9 @@ from aspeq.cli import main
 from aspeq.curves import CURVE_KINDS, Curve
 from aspeq.delegation import _argmax
 import aspeq.dominance
+import aspeq.duality
 from aspeq.dominance import DEFAULT_GRID
-from aspeq.duality import _aspiration_from, evaluate_pairs
+from aspeq.duality import evaluate_pairs
 from aspeq.numerics import QuadratureSpec
 
 LOTS = [
@@ -146,7 +148,7 @@ def loop_implications(lotteries):
     margins = []
     for f in lotteries:
         edu_a, edu_b = expected_disutility(f, A), expected_disutility(f, B)
-        ae = _aspiration_from(f, edu_a, None) - _aspiration_from(f, edu_b, None)
+        ae = aspiration_equivalent(f, A) - aspiration_equivalent(f, B)
         margins.append((edu_a - edu_b, ae, expected_utility(f, B) - expected_utility(f, A)))
     return margins, A.density_moments()[0] - B.density_moments()[0]
 
@@ -185,17 +187,40 @@ FUNCTIONS = [
 ]
 
 
+class TestPairBatch:
+    def test_equal_jobs_are_integrated_once(self, quadrature_batches):
+        f, u = LOTS[0], UTS[0]
+        twin = ScaledBeta(0.0, 1.0, alpha=2.0, beta=8.0)  # equal to f, another object
+        batch = PairBatch([(f, u, "edu"), (f, u, "edu"), (twin, u, "edu")])
+        assert quadrature_batches == [("duality", 1)]
+        want = expected_disutility(f, u).hex()
+        assert batch.expected_disutility(f, u).hex() == batch.expected_disutility(twin, u).hex() == want
+        assert batch.aspiration_equivalent(twin, u) == aspiration_equivalent(f, u)
+
+
 class TestOneBatchAgainstTheLoop:
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("name,batch,loop,curves", FUNCTIONS, ids=[f[0] for f in FUNCTIONS])
-    def test_same_bits_and_first_error(self, quadrature_batches, name, batch, loop, curves, case):
+    def test_same_bits_and_first_error(self, quadrature_batches, monkeypatch, name, batch, loop, curves, case):
         curves = _with(curves, case)
+        integrated = set()  # the distinct (lottery, utility, role) quadratures the loop makes
+        pair_job = aspeq.duality._pair_job
+
+        def recording(*job):
+            prepared = pair_job(*job)
+            if isinstance(prepared, tuple):
+                integrated.add(job)
+            return prepared
+
+        monkeypatch.setattr(aspeq.duality, "_pair_job", recording)
         want = _outcome(lambda: loop(curves))
-        loop_jobs = sum(n for module, n in quadrature_batches if module == "duality")
+        loop_jobs = len(integrated)
         quadrature_batches.clear()
         assert _outcome(lambda: batch(curves)) == want
         pair_batches = [n for module, n in quadrature_batches if module == "duality"]
-        # one batch, of the loop's jobs when nothing fails
+        # one batch, of the loop's distinct jobs when nothing fails: a
+        # repeated curve, or a loop integrating EDU again for the AE, is
+        # one job
         assert len(pair_batches) == 1 and pair_batches[0] >= loop_jobs
         assert isinstance(want, tuple) or pair_batches == [loop_jobs]
 
@@ -235,7 +260,7 @@ def loop_report(U, V, lotteries, spec):
         margins = []
         for f in lotteries:
             edu_u, edu_v = expected_disutility(f, U, spec), expected_disutility(f, V, spec)
-            ae = _aspiration_from(f, edu_u, spec) - _aspiration_from(f, edu_v, spec)
+            ae = aspiration_equivalent(f, U, spec) - aspiration_equivalent(f, V, spec)
             margins.append((edu_u - edu_v, ae, expected_utility(f, V, spec) - expected_utility(f, U, spec)))
         parts.append((margins, U.density_moments(spec)[0] - V.density_moments(spec)[0]))
     if isinstance(U, ExponentialNormalized) and isinstance(V, ExponentialNormalized):
@@ -371,5 +396,7 @@ class TestCurveCuts:
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps(_matrix_scenario()), encoding="utf-8")
         assert main(["eval", "--scenario", str(path)], stdout=io.StringIO()) == 0
-        # 40 curves; 800 pair jobs once merged four lists each
-        assert calls == {"kinks": 40, "sample_hints": 40}
+        # 40 curves, the five linear utilities equal; 800 pair jobs once
+        # merged four lists each, and the 640 distinct jobs ask only the
+        # first of equal curves
+        assert calls == {"kinks": 36, "sample_hints": 36}
