@@ -10,6 +10,9 @@ expansion with the roles swapped, as AE(F, U) = CE(U, F): around the
 utility density's mean, with the lottery's tolerance. An infinite
 tolerance is a sentinel, not an error: the correction term is simply
 zero (linear utility on one side, uniform lottery on the other).
+ce_taylor2 and ae_taylor2 read one pair; taylor2_pairs reads many, each
+curve's moments once and every exact equivalent from one pair batch,
+with the bits and the first error of the pair-by-pair loop.
 
 For an exponential-kind lottery with rate lam the aspiration equivalent
 has a closed form, lo - (1/lam) ln E_u[exp(-lam (x - lo))]; expanding the
@@ -23,12 +26,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from functools import cache
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .curves import Curve, SingularDensityError, StepFunctionError
-from .duality import DomainMismatchError, certain_equivalent
+from .duality import PairBatch, aspiration_equivalent, certain_equivalent
 from .numerics import MAX_CUMULANT_ORDER, QuadratureSpec, central_difference, cumulants
 from .numerics import integrate, merge_knots
 
@@ -102,20 +106,11 @@ def risk_tolerance(C: Curve, x: float) -> float:
 spread_tolerance = risk_tolerance
 
 
-def ce_taylor2(
-    F: Curve,
-    U: Curve,
-    spec: QuadratureSpec | None = None,
-    moments: tuple[float, float] | None = None,
-    exact: Callable[[], float] | None = None,
-) -> ApproxReport:
-    """Certain equivalent to second order: lottery mean minus half its
-    variance over the utility's tolerance at the mean. moments, when
-    given, is F.density_moments(spec), computed once for a lottery met
-    again; exact, when given, is called in place of certain_equivalent
-    to read a batch of pairs' integrals. ae_taylor2 calls this with the
-    roles swapped, so no message here names a role."""
-    mean, var = moments or F.density_moments(spec)
+def _taylor2(moments: tuple[float, float], U: Curve, exact: Callable[[], float]) -> ApproxReport:
+    """A mean minus half the variance over U's tolerance at that mean,
+    beside exact(), the pair's equivalent, read last so that a refusal
+    comes where the pair-by-pair functions raise it."""
+    mean, var = moments
     try:
         rt = risk_tolerance(U, mean)
     except CurvatureError as exc:
@@ -127,19 +122,8 @@ def ce_taylor2(
     # tolerance at its point is 0 or undefined
     term = 0.0 if var == 0.0 or math.isinf(rt) else -0.5 * var / rt
     approx = mean + term
-    # certain_equivalent would word these two refusals by role
-    if (F.lo, F.hi) != (U.lo, U.hi):
-        raise DomainMismatchError(
-            f"curves on [{F.lo!r}, {F.hi!r}] and [{U.lo!r}, {U.hi!r}] do not "
-            "share one interval"
-        )
-    if F.has_singular_density:  # reached only with moments given
-        raise SingularDensityError(
-            f"{F.kind} density is unbounded at an endpoint; the exact "
-            "equivalent would integrate it"
-        )
     return ApproxReport(
-        exact=exact() if exact else certain_equivalent(F, U, spec),
+        exact=exact(),
         approx=approx,
         first_moment=mean,
         central_second_moment=var,
@@ -149,18 +133,33 @@ def ce_taylor2(
     )
 
 
-def ae_taylor2(
-    F: Curve,
-    U: Curve,
-    spec: QuadratureSpec | None = None,
-    moments: tuple[float, float] | None = None,
-    exact: Callable[[], float] | None = None,
-) -> ApproxReport:
+def ce_taylor2(F: Curve, U: Curve, spec: QuadratureSpec | None = None) -> ApproxReport:
+    """Certain equivalent to second order: lottery mean minus half its
+    variance over the utility's tolerance at the mean."""
+    return _taylor2(F.density_moments(spec), U, lambda: certain_equivalent(F, U, spec))
+
+
+def ae_taylor2(F: Curve, U: Curve, spec: QuadratureSpec | None = None) -> ApproxReport:
     """Aspiration equivalent to second order: utility-density mean minus
     half its variance over the lottery's spread tolerance at that mean.
-    This is ce_taylor2 with the roles swapped, as AE(F, U) = CE(U, F).
-    moments and exact, when given, stand for U's moments and the AE."""
-    return ce_taylor2(U, F, spec, moments, exact)
+    This is ce_taylor2 with the roles swapped, as AE(F, U) = CE(U, F)."""
+    return _taylor2(U.density_moments(spec), F, lambda: aspiration_equivalent(F, U, spec))
+
+
+def taylor2_pairs(
+    pairs: Sequence[tuple[Curve, Curve]], spec: QuadratureSpec | None = None
+) -> Iterator[tuple[ApproxReport, ApproxReport]]:
+    """(ce_taylor2, ae_taylor2) of each (lottery, utility) pair, in turn,
+    the first error raised where the pair-by-pair loop raises it. Each
+    curve's moments are integrated once, and every exact CE and AE comes
+    from one pair batch, built before the first result is yielded."""
+    moments = cache(lambda curve: curve.density_moments(spec))
+    batch = PairBatch([(f, u, role) for f, u in pairs for role in ("eu", "edu")], spec)
+    for F, U in pairs:
+        yield (
+            _taylor2(moments(F), U, lambda: batch.certain_equivalent(F, U)),
+            _taylor2(moments(U), F, lambda: batch.aspiration_equivalent(F, U)),
+        )
 
 
 def ae_cumulant_series(

@@ -33,13 +33,12 @@ from .approximations import (
     CurvatureError,
     SeriesDivergenceWarning,
     ae_cumulant_series,
-    ae_taylor2,
-    ce_taylor2,
+    taylor2_pairs,
 )
 from .curves import Curve, CurveError, CurveParameterError
 from .delegation import DEFAULT_FRACTILE, desiderata_report, update_target
 from .dominance import DEFAULT_GRID, MIN_GRID, dominance_report
-from .duality import DomainMismatchError, PairBatch, UnattainableTargetError, effective_root
+from .duality import DomainMismatchError, UnattainableTargetError, effective_root
 from .duality import evaluate_pairs, exponential_or_linear
 from .numerics import DEFAULT_QUADRATURE, MAX_CUMULANT_ORDER, NumericsError, QuadratureSpec
 from .scenarios import Scenario, ScenarioError, finite_number, load_scenario
@@ -452,18 +451,11 @@ def _cmd_approx(scenario: Scenario, args: argparse.Namespace) -> _Out:
             out.row(label, fn, un, value)
             out.computed[f"{label}:{fn}:{un}"] = value
 
-    # each curve's moments once, at its first pair, where a refusal
-    # would first be raised anyway
-    moments_of = cache(lambda curve: curve.density_moments(spec))
     pairs = [(f, u) for f in scenario.lotteries for u in scenario.utilities]
-    # every pair's exact CE and AE in one batch, each read where ce_taylor2 or ae_taylor2 integrates it
-    batch = PairBatch([(f.curve, u.curve, role) for f, u in pairs for role in ("eu", "edu")], spec)
-
-    for fn_named, un_named in pairs:
+    reports = taylor2_pairs([(f.curve, u.curve) for f, u in pairs], spec)
+    for (fn_named, un_named), (ce, ae) in zip(pairs, reports):
         fn, un = fn_named.name, un_named.name
         F, U = fn_named.curve, un_named.curve
-        ce = ce_taylor2(F, U, spec, moments_of(F), lambda: batch.certain_equivalent(F, U))
-        ae = ae_taylor2(F, U, spec, moments_of(U), lambda: batch.aspiration_equivalent(F, U))
         values = {
             "lottery_mean": ce.first_moment,
             "lottery_var": ce.central_second_moment,

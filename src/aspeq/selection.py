@@ -193,10 +193,11 @@ def allocate_eu_matrix(
     maximin row paired with its minimizing column and is flagged in the
     diagnostics.
     """
-    if not eu or len(eu) != len(eu[0]):
+    width = next((len(row) for row in eu if len(row) != len(eu)), None)
+    if not eu or width is not None:
         raise ValueError(
             "allocation needs equally many lotteries and utilities, at least one "
-            f"each; got {len(eu)} lotteries and {len(eu[0]) if eu else 0} utilities"
+            f"each; got {len(eu)} lotteries and a row of {width or 0} utilities"
         )
     live_rows = list(range(len(eu)))
     live_cols = list(range(len(eu)))

@@ -352,16 +352,16 @@ class TestRoleSwap:
             assert ae.tolerance == spread_tolerance(F, ae.first_moment)
 
     @pytest.mark.parametrize(
-        "F,U,moments",
+        "F,U",
         [
-            (Triangular(0.0, 1.0, mode=0.3), ScaledBeta(0.0, 1.0, alpha=0.5, beta=2.0), (0.4, 0.05)),
-            (Uniform(0.0, 1.0), Linear(0.0, 2.0), (0.5, 0.1)),
+            (Triangular(0.0, 1.0, mode=0.3), ScaledBeta(0.0, 1.0, alpha=0.5, beta=2.0)),
+            (Uniform(0.0, 1.0), Linear(0.0, 2.0)),
         ],
         ids=["singular_utility", "domains"],
     )
-    def test_ae_refusals_do_not_call_the_utility_a_lottery(self, F, U, moments):
+    def test_ae_refusals_do_not_call_the_utility_a_lottery(self, F, U):
         with pytest.raises((SingularDensityError, DomainMismatchError)) as refused:
-            ae_taylor2(F, U, moments=moments)
+            ae_taylor2(F, U)
         message = str(refused.value)
         assert "lottery density" not in message
         assert f"lottery domain [{U.lo!r}, {U.hi!r}]" not in message

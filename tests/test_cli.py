@@ -353,7 +353,7 @@ class TestApprox:
     def test_one_batch_reads_as_the_pair_loop(self, tmp_path, capsys, monkeypatch, extra):
         # every pair's exact CE and AE come from one batch; integrating
         # each where it is read instead prints, and fails, the same
-        import aspeq.cli
+        import aspeq.approximations
         from aspeq import aspiration_equivalent, certain_equivalent
 
         scenario = {**BASIC, "lotteries": [*BASIC["lotteries"], {"name": "tri", "kind": "triangular"}]}
@@ -371,7 +371,7 @@ class TestApprox:
             def aspiration_equivalent(self, f, u):
                 return aspiration_equivalent(f, u, self.spec)
 
-        monkeypatch.setattr(aspeq.cli, "PairBatch", OneAtATime)
+        monkeypatch.setattr(aspeq.approximations, "PairBatch", OneAtATime)
         assert (run("approx", "--scenario", path), capsys.readouterr().err) == batched
 
     def test_moments_once_per_curve(self, monkeypatch):

@@ -25,8 +25,10 @@ from aspeq import (
     Step,
     Triangular,
     TruncatedGaussian,
+    ae_taylor2,
     allocate_eu_matrix,
     aspiration_equivalent,
+    ce_taylor2,
     choose_by_aspiration,
     choose_by_eu,
     desiderata_report,
@@ -42,6 +44,7 @@ from aspeq import (
     first_order_dominates,
     saddle_allocate,
     second_order_dominates,
+    taylor2_pairs,
 )
 from aspeq.cli import main
 from aspeq.curves import CURVE_KINDS, Curve
@@ -184,6 +187,8 @@ FUNCTIONS = [
      lambda us: loop_dual_select(us, BAD["step"]), UTS),
     ("saddle_allocate", batch_saddle_allocate, loop_saddle_allocate, LOTS),
     ("dominance_implications", batch_implications, loop_implications, LOTS),
+    ("taylor2_pairs", lambda fs: list(taylor2_pairs([(f, UTS[0]) for f in fs])),
+     lambda fs: [(ce_taylor2(f, UTS[0]), ae_taylor2(f, UTS[0])) for f in fs], LOTS),
 ]
 
 
@@ -241,7 +246,7 @@ class TestOneBatchAgainstTheLoop:
             for case in BAD
         }
         assert {case: len(names) for case, names in raised.items()} == {
-            "step": 4, "singular": 6, "mismatch": 7,
+            "step": 5, "singular": 7, "mismatch": 8,
         }
 
     def test_density_moments_once_per_curve(self, quadrature_batches):

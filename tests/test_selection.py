@@ -142,6 +142,16 @@ class TestAllocateEuMatrix:
         assert (first.pure_saddle, first.maximin, first.minimax) == (False, 0.5, 0.6)
         assert second.pure_saddle
 
+    @pytest.mark.parametrize(
+        "eu,width",
+        [([[1.0, 2.0], [3.0]], 1), ([[1.0, 2.0], [3.0, 4.0, 5.0]], 3), ([[1.0, 2.0]], 2), ([], 0)],
+        ids=["short_row", "long_row", "wide", "empty"],
+    )
+    def test_refuses_a_matrix_that_is_not_square(self, eu, width):
+        # every row is checked, not only the first, before stage 0
+        with pytest.raises(ValueError, match=f"got {len(eu)} lotteries and a row of {width} utilities"):
+            allocate_eu_matrix(eu)
+
 
 class TestFindPureSaddle:
     def test_known_saddle(self):
