@@ -107,11 +107,17 @@ class Curve:
         return ()
 
     def sample_hints(self) -> tuple[float, ...]:
-        """Interior points quadrature should cut at, even though the curve
-        is smooth there: where a concentrated density would otherwise slip
-        between the opening samples. Unlike kinks these carry no
-        nonsmoothness meaning."""
+        """Interior points quadrature should cut at though the curve is
+        smooth there: where a concentrated density would otherwise slip
+        between the opening samples, or grading panels toward an end where
+        a derivative is singular. Unlike kinks these mark no nonsmoothness."""
         return ()
+
+    def _ladder(self, anchor: float, step: float, ratio: float, rungs: range) -> list[float]:
+        """The cuts anchor + step * ratio**k, k in rungs, that fall inside
+        (lo, hi): a geometric ladder walking quadrature into a boundary
+        layer or an end singularity, or out from a narrow peak."""
+        return [x for k in rungs if self.lo < (x := anchor + step * ratio**k) < self.hi]
 
     @functools.cached_property
     def cuts(self) -> tuple[float, ...]:
@@ -270,7 +276,8 @@ class ScaledBeta(Curve):
     Either shape below 1 makes the density blow up at the matching
     endpoint. value and quantile stay perfectly usable there (the CDF is
     continuous); density-side integrals are refused via
-    has_singular_density.
+    has_singular_density. sample_hints grades panels toward an end whose
+    shape is not an integer and walks out from a concentrated bell.
     """
 
     alpha: float = 1.0
@@ -307,6 +314,21 @@ class ScaledBeta(Curve):
     def quantile(self, p: float) -> float:
         self._check_p(p)
         return self.lo + self.span * float(betaincinv(self.alpha, self.beta, p))
+
+    def sample_hints(self) -> tuple[float, ...]:
+        # x**(a-1) and x**a are singular in some derivative at an end whose
+        # shape is not an integer: cuts a factor 4 apart walk panels into it
+        a, b = float(self.alpha), float(self.beta)
+        cuts = self._ladder(self.lo, self.span, 0.25, range(1, 9 if a % 1 else 1))
+        cuts += self._ladder(self.hi, -self.span, 0.25, range(1, 9 if b % 1 else 1))
+        # a bell the opening samples could miss, while its log-density's
+        # rounding (about |log B(a, b)| ulps) stays under 2**-32
+        sd = self.span * math.sqrt(a * b / (a + b + 1.0)) / (a + b)
+        if sd < self.span / 16.0 and self._log_norm > -(2.0**20):
+            mean = self.lo + self.span * a / (a + b)
+            cuts += self._ladder(mean, sd, 2.0, range(-1, 6)) + self._ladder(mean, -sd, 2.0, range(-1, 6))
+            cuts += [mean] if self.lo < mean < self.hi else []
+        return tuple(cuts)
 
 
 GAMMA_SPAN_CAP = 500.0  # largest |gamma| * span keeping the expm1 terms in double range
@@ -359,17 +381,10 @@ class ExponentialNormalized(Curve):
     def sample_hints(self) -> tuple[float, ...]:
         # at large |gamma|*span the density is a boundary layer of width
         # 1/|gamma|; a geometric ladder of cuts walks quadrature into it
-        g = abs(self.gamma)
-        if g * self.span <= 16.0:
+        if abs(self.gamma) * self.span <= 16.0:
             return ()
         anchor = self.lo if self.gamma > 0.0 else self.hi
-        sign = 1.0 if self.gamma > 0.0 else -1.0
-        ladder = []
-        c = 0.5
-        while c < g * self.span and c <= 32.0:
-            ladder.append(anchor + sign * c / g)
-            c *= 2.0
-        return tuple(ladder)
+        return tuple(self._ladder(anchor, 1.0 / self.gamma, 2.0, range(-1, 6)))
 
 
 @dataclass(frozen=True)

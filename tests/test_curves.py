@@ -24,6 +24,8 @@ from aspeq import (
     TruncatedGaussian,
     Uniform,
 )
+from aspeq.duality import _pair_job
+from aspeq.numerics import QuadratureSpec, integrate
 from conftest import smooth_lotteries, smooth_utilities
 
 
@@ -134,6 +136,54 @@ class TestScaledBeta:
     def test_bad_shapes_rejected(self):
         with pytest.raises(CurveParameterError):
             ScaledBeta(0.0, 1.0, alpha=0.0, beta=1.0)
+
+    def test_integer_shapes_get_no_hints(self):
+        for f in [c for c in ALL_SMOOTH if isinstance(c, ScaledBeta)] + [ScaledBeta(0.0, 1.0, alpha=3.0, beta=12.0)]:
+            assert f.sample_hints() == ()
+
+    def test_ladder_grades_panels_toward_a_fractional_end(self):
+        # a density like x**0.4 at lo, or (1 - x)**1.5 at hi: bisection
+        # alone reaches such an end one level per round, and these 12
+        # jobs took 100 calls before the ladder
+        calls = []
+
+        def logged(f):
+            def call(xs):
+                calls.append(len(xs))
+                return f(xs)
+
+            return call
+
+        for F in (ScaledBeta(0.0, 200.0, alpha=1.4, beta=3.0), ScaledBeta(0.0, 200.0, alpha=5.0, beta=2.5)):
+            for gamma_span in (-8.0, 1.0, 12.0):
+                U = ExponentialNormalized(0.0, 200.0, gamma=gamma_span / 200.0)
+                for role in ("eu", "edu"):
+                    f, lo, hi, knots = _pair_job(F, U, role)
+                    integrate(logged(f), lo, hi, None, knots)
+        assert len(calls) <= 30
+
+    def test_bell_ladder_stops_where_the_density_is_rounding(self):
+        # the log-density carries about |log B(a, b)| ulps of rounding:
+        # 2**-32.1 at (7e5, 7e5), 2**-31.9 at (8e5, 8e5). Past 2**-32 cuts
+        # at the bell let a tight tolerance chase that noise until memory
+        # runs out; short of it the work stays small at any tolerance
+        assert ScaledBeta(0.0, 1.0, alpha=8e5, beta=8e5).sample_hints() == ()
+        F = ScaledBeta(0.0, 1.0, alpha=7e5, beta=7e5)
+        assert len(F.sample_hints()) == 15
+        spec = QuadratureSpec(relative_tolerance=1e-300)
+        for U in (Linear(0.0, 1.0), ExponentialNormalized(0.0, 1.0, gamma=3.0)):
+            for role in ("eu", "edu"):
+                f, lo, hi, knots = _pair_job(F, U, role)
+                nodes = 0
+
+                def capped(xs):
+                    nonlocal nodes
+                    nodes += len(xs)
+                    if nodes > 10_000:
+                        raise RuntimeError("more than 10,000 integrand nodes")
+                    return f(xs)
+
+                integrate(capped, lo, hi, spec, knots)
 
 
 class TestExponentialNormalized:

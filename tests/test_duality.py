@@ -106,6 +106,16 @@ class TestDualityIdentity:
                 worst = max(worst, abs(eu + edu - 1.0))
         assert worst <= 2e-9
 
+    @pytest.mark.parametrize("alpha, beta", [(200000, 100000), (40000, 2.5), (3, 30000), (1.5, 40000)])
+    def test_concentrated_beta_is_seen(self, alpha, beta):
+        # the whole lottery sits in a bell far narrower than the opening
+        # panels; under the linear utility EU is its mean, alpha/(alpha+beta)
+        F, U = ScaledBeta(0.0, 1.0, alpha=alpha, beta=beta), Linear(0.0, 1.0)
+        eu, edu = expected_utility(F, U), expected_disutility(F, U)
+        want = alpha / (alpha + beta)
+        assert abs(eu - want) <= max(1e-12, 1e-9 * want)
+        assert abs(eu + edu - 1.0) <= 2e-9
+
     def test_edu_is_not_complement_shortcut(self):
         # EDU must come from its own integral; check it against the
         # oracle directly rather than via 1 - EU
