@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -67,7 +67,7 @@ def _kernel(method):
     return checked
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curve:
     lo: float
     hi: float
@@ -89,6 +89,22 @@ class Curve:
             numbers = [c for point in value for c in point] if isinstance(value, tuple) else [value]
             if value is not None and not all(map(_finite, numbers)):
                 raise CurveParameterError(f"{name} must be finite, got {value!r}")
+
+    # one kind with equal fields is one curve; batches key every job by
+    # curve, so the fields and their hash are read once per curve
+    @functools.cached_property
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(self._key)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def span(self) -> float:
@@ -180,7 +196,7 @@ class Curve:
         return k1, k2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Uniform(Curve):
     """Straight line from (lo, 0) to (hi, 1): flat density 1/span."""
 
@@ -202,7 +218,7 @@ class Uniform(Curve):
         return math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Linear(Uniform):
     """Same shape as Uniform; separate kind so risk-neutral preference is
     explicit in scenario files and in gamma-grid sweeps at zero."""
@@ -210,7 +226,7 @@ class Linear(Uniform):
     kind: ClassVar[str] = "linear"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Triangular(Curve):
     """Piecewise-quadratic CDF with density peaking at mode.
 
@@ -230,7 +246,8 @@ class Triangular(Curve):
                 f"mode {self.mode!r} outside [{self.lo!r}, {self.hi!r}]"
             )
         # a side of zero width is never selected; 1.0 keeps its unused
-        # array branch free of 0/0
+        # array branch free of 0/0, and the kernels clip each branch to its
+        # side so a side of denormal width cannot overflow
         self._cache(
             _left=(self.hi - self.lo) * (self.mode - self.lo) or 1.0,
             _right=(self.hi - self.lo) * (self.hi - self.mode) or 1.0,
@@ -248,16 +265,16 @@ class Triangular(Curve):
     def value(self, x):
         return np.where(
             self._on_left(x),
-            (x - self.lo) ** 2 / self._left,
-            1.0 - (self.hi - x) ** 2 / self._right,
+            (np.minimum(x, self.mode) - self.lo) ** 2 / self._left,
+            1.0 - (self.hi - np.maximum(x, self.mode)) ** 2 / self._right,
         )
 
     @_kernel
     def density(self, x):
         return np.where(
             self._on_left(x),
-            2.0 * (x - self.lo) / self._left,
-            2.0 * (self.hi - x) / self._right,
+            2.0 * (np.minimum(x, self.mode) - self.lo) / self._left,
+            2.0 * (self.hi - np.maximum(x, self.mode)) / self._right,
         )
 
     def quantile(self, p: float) -> float:
@@ -269,7 +286,7 @@ class Triangular(Curve):
         return hi - math.sqrt((1.0 - p) * (hi - lo) * (hi - m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaledBeta(Curve):
     """Beta(alpha, beta) rescaled from [0, 1] onto [lo, hi].
 
@@ -334,7 +351,7 @@ class ScaledBeta(Curve):
 GAMMA_SPAN_CAP = 500.0  # largest |gamma| * span keeping the expm1 terms in double range
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExponentialNormalized(Curve):
     """Constant-curvature curve: value(x) = expm1(-g*(x-lo)) / expm1(-g*span).
 
@@ -387,7 +404,7 @@ class ExponentialNormalized(Curve):
         return tuple(self._ladder(anchor, 1.0 / self.gamma, 2.0, range(-1, 6)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedGaussian(Curve):
     """Gaussian(center, scale) conditioned on [lo, hi] and renormalized."""
 
@@ -446,7 +463,7 @@ class TruncatedGaussian(Curve):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogWealth(Curve):
     """Normalized log(wealth + x): the classic decreasing-risk-aversion
     shape. Requires wealth + lo > 0."""
@@ -481,7 +498,7 @@ class LogWealth(Curve):
         return self.wealth + x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Step(Curve):
     """Jump from 0 to 1 at threshold. As a lottery: the sure amount
     threshold. As a utility: all-or-nothing at threshold."""
@@ -525,7 +542,7 @@ class Step(Curve):
         return self.threshold, 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseLinear(Curve):
     """Polyline CDF through the given (x, value) points.
 

@@ -28,9 +28,12 @@ a batch of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .curves import (
     GAMMA_SPAN_CAP,
@@ -47,6 +50,7 @@ from .numerics import (
     QuadratureSpec,
     RootBracket,
     find_root,
+    fixed_rule,
     integrate_many,
     merge_knots,
 )
@@ -250,32 +254,74 @@ def evaluate_pairs(
         )
 
 
-def effective_gamma(
-    lottery: Curve,
-    target: float,
-    spec: QuadratureSpec | None = None,
-) -> float:
+def effective_gamma(lottery: Curve, target: float, spec: QuadratureSpec | None = None) -> float:
     """Curvature whose exponential utility puts the aspiration equivalent
-    of `lottery` at `target`.
-
-    Solves EDU(lottery, exp_gamma) = F(target) by bracketed root finding.
-    EDU decreases strictly in gamma (higher curvature concentrates the
-    utility density toward the low end, where F is small), so the bracket
-    [-1, 1]/span is expanded geometrically toward the side that still
-    disagrees in sign, up to |gamma|*span = GAMMA_SPAN_CAP; the root takes
-    RootBracket's value tolerance whatever the spec. gamma = 0 inside the
-    bracket is evaluated through the linear curve, where the exponential
-    formula degenerates.
-    """
+    of `lottery` at `target`; effective_root describes the search."""
     return effective_root(lottery, target, spec)[0]
+
+
+# gamma * span on the surrogate's grid: factors of 4 either side of 0, then the cap
+_GRID = np.array([-GAMMA_SPAN_CAP, *(-(4.0**k) for k in range(4, -5, -1)), *(4.0**k for k in range(-4, 5)), GAMMA_SPAN_CAP])
+
+
+def _surrogate_root(lottery: Curve, p: float) -> tuple[float, float] | None:
+    """The gamma where EDU, integrated on a fixed rule, crosses p, and its
+    slope there; None where it does not cross within the cap.
+
+    EDU(gamma) is the integral of u_gamma F: with F sampled once on the
+    rule, the sum of w F(x) u_gamma(x) for any gamma, bounded for every
+    kind. u_gamma = a exp(-a d) / -expm1(-a span), a = |gamma|, d the
+    distance from lo (gamma > 0) or hi (gamma < 0), never overflows."""
+    lo, hi, span = lottery.lo, lottery.hi, lottery.span
+    x, w = fixed_rule(lo, hi, lottery.cuts, 4)
+    # each node's distance from the anchor: d[0] from hi (gamma < 0), d[1] from lo
+    mass, d = w * lottery.value(x), np.array([hi - x, x - lo])
+    a = np.abs(_GRID) / span
+    grid = np.add.reduce(mass * np.exp(-a[:, None] * d[(_GRID > 0).astype(int)]), 1) * a / -np.expm1(-a * span)
+    cross = np.flatnonzero(grid <= p)  # EDU falls as gamma rises
+    if not len(cross) or not cross[0]:
+        return None
+    left, right = (_GRID[cross[0] - 1 : cross[0] + 1] / span).tolist()
+
+    def edu(g: float) -> tuple[float, float]:
+        if g == 0.0:
+            return float(np.add.reduce(mass)) / span, float(np.add.reduce(mass * (0.5 - d[1] / span)))
+        a, dist = abs(g), d[int(g > 0)]
+        terms = mass * np.exp(-a * dist)
+        c = a / -math.expm1(-a * span)
+        # the slope in a of log u_gamma: 1/a - d - span / expm1(a span)
+        dlog = 1.0 / a - span / math.expm1(a * span) - dist
+        return c * float(np.add.reduce(terms)), math.copysign(c, g) * float(np.add.reduce(terms * dlog))
+
+    # Newton steps, bisecting where one would leave the bracket
+    g = 0.5 * (left + right)
+    for _ in range(100):
+        value, slope = edu(g)
+        if value == p:
+            break
+        left, right = (g, right) if value > p else (left, g)
+        step = g - (value - p) / slope if slope else right
+        step = step if left < step < right else 0.5 * (left + right)
+        if abs(step - g) <= 1e-15 * max(abs(g), 1.0 / span):
+            return step, slope
+        g = step
+    return g, slope
 
 
 def effective_root(
     lottery: Curve, target: float, spec: QuadratureSpec | None = None
 ) -> tuple[float, float]:
-    """effective_gamma, and aspiration_equivalent(lottery, its utility)
-    with the bits of that call: the root is a point the search evaluated,
-    so its EDU is read back, not integrated again."""
+    """The gamma with EDU(lottery, exp_gamma) = F(target) within
+    RootBracket's value tolerance whatever the spec, |gamma|*span <=
+    GAMMA_SPAN_CAP, and aspiration_equivalent(lottery, exp_gamma) with
+    the bits of that call, read from the EDU integrated at the root.
+
+    EDU falls strictly as gamma rises. The search integrates EDU first at
+    the root of a fixed-rule surrogate (_surrogate_root), then takes up to
+    3 secant steps, the first with the surrogate's slope. Where the
+    surrogate has no root or those steps miss, the bracket [-1, 1]/span
+    grows by factors of 4 toward the side still disagreeing in sign, up to
+    the cap, and find_root searches it. gamma = 0 is the linear curve."""
     lo, hi = lottery.lo, lottery.hi
     span = hi - lo
     if not lo < target < hi:
@@ -290,27 +336,48 @@ def effective_root(
             "target sits in a zero-mass tail"
         )
 
-    # find_root reuses the bracket ends and returns a point evaluated here
+    # each point is integrated once, and the root's EDU is read back
     utility = cache(lambda g: exponential_or_linear(lo, hi, g))
     batch = cache(lambda g: PairBatch([(lottery, utility(g), "edu")], spec))
 
     def gap(g: float) -> float:
         return batch(g).expected_disutility(lottery, utility(g)) - p
 
+    def root(g: float) -> tuple[float, float]:
+        return g, batch(g).aspiration_equivalent(lottery, utility(g))
+
+    # the largest gamma the curve takes: GAMMA_SPAN_CAP / span can round past the cap
+    cap, tol = GAMMA_SPAN_CAP / span, RootBracket.value_tolerance
+    if cap * span > GAMMA_SPAN_CAP:
+        cap = math.nextafter(cap, 0.0)
+    start = _surrogate_root(lottery, p)
+    if start is not None:
+        g, slope = start
+        f = gap(g)
+        for _ in range(3):
+            if abs(f) <= tol or not slope < 0.0:
+                break
+            g_next = min(max(g - f / slope, -cap), cap)
+            if g_next == g:
+                break
+            f_next = gap(g_next)
+            g, f, slope = g_next, f_next, (f_next - f) / (g_next - g)
+        if abs(f) <= tol:
+            return root(g)
+
     g_lo, g_hi = -1.0 / span, 1.0 / span
     f_lo, f_hi = gap(g_lo), gap(g_hi)
     # gap is decreasing: f_lo < 0 means the root lies further left, f_hi > 0
     # further right
-    while f_lo < 0.0 and abs(g_lo) * span < GAMMA_SPAN_CAP:
-        g_lo = max(g_lo * 4.0, -GAMMA_SPAN_CAP / span)
+    while f_lo < 0.0 and g_lo > -cap:
+        g_lo = max(g_lo * 4.0, -cap)
         f_lo = gap(g_lo)
-    while f_hi > 0.0 and g_hi * span < GAMMA_SPAN_CAP:
-        g_hi = min(g_hi * 4.0, GAMMA_SPAN_CAP / span)
+    while f_hi > 0.0 and g_hi < cap:
+        g_hi = min(g_hi * 4.0, cap)
         f_hi = gap(g_hi)
     if f_lo < 0.0 or f_hi > 0.0:
         raise UnattainableTargetError(
             f"no curvature with |gamma|*span <= {GAMMA_SPAN_CAP:g} reaches "
             f"cumulative probability {p!r} at the target"
         )
-    g = find_root(gap, RootBracket(g_lo, g_hi))
-    return g, batch(g).aspiration_equivalent(lottery, utility(g))
+    return root(find_root(gap, RootBracket(g_lo, g_hi)))

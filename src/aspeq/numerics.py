@@ -250,6 +250,19 @@ def _opening(lo: float, hi: float, knots: Iterable[float]) -> list[float]:
     return [lo, *(k for k in sorted(set(map(float, knots))) if lo < k < hi), hi]
 
 
+def fixed_rule(lo: float, hi: float, knots: Iterable[float], panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a fixed composite rule on [lo, hi]: the
+    15-node Kronrod rule on `panels` equal panels of each piece between
+    knots, pieces cut as integrate opens them. sum(weights * f(nodes))
+    approximates the integral of f with no refinement and no error
+    estimate; no node sits on a knot or an end."""
+    cuts = np.array(_opening(lo, hi, knots))
+    ends = np.append(cuts[:-1, None] + np.diff(cuts)[:, None] * (np.arange(panels) / panels), cuts[-1:])
+    half = 0.5 * np.diff(ends)
+    nodes = (ends[:-1] + half)[:, None] + half[:, None] * _NODES
+    return nodes.ravel(), (half[:, None] * _KRONROD).ravel()
+
+
 def _split_counts(errors: np.ndarray, remaining, budget):
     """How many panels each integral splits this round: its worst ones,
     until the error left in the others is under half its budget (a count

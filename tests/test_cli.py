@@ -681,12 +681,12 @@ class TestIntegralsPerCommand:
             # 3 lotteries x A and B x EU and EDU, read by the implications
             # and the exponential chains alike
             ("dominance", "table2", 12),
-            # bracket ends once each and the root iterations; the achieved
-            # target reads the root's EDU
-            ("solve-gamma", "paper_sec4", 10),
+            # the EDU at the surrogate's root, which meets the stop; the
+            # achieved target reads it
+            ("solve-gamma", "paper_sec4", 1),
             # solve-gamma's root (its EDU gives the round trip) and the new
             # lottery's aspiration equivalent
-            ("update-target", "paper_sec4", 11),
+            ("update-target", "paper_sec4", 2),
         ],
     )
     def test_integral_count(self, quadrature_batches, command, fixture, integrals):

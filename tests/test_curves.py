@@ -99,6 +99,17 @@ class TestTriangular:
         with pytest.raises(CurveParameterError):
             Triangular(0.0, 1.0, mode=1.5)
 
+    def test_denormal_side_does_not_overflow(self):
+        # each branch is clipped to its own side, so the side not selected
+        # at a point cannot overflow, however narrow the other side is
+        for t, xs in (
+            (Triangular(0.0, 1.0, mode=5e-324), [0.0, 5e-324, 0.5, 1.0]),
+            (Triangular(-1.0, 0.0, mode=-5e-324), [-1.0, -0.5, -5e-324, 0.0]),
+        ):
+            assert np.isfinite(t.value(np.array(xs))).all()
+            assert np.isfinite(t.density(np.array(xs))).all()
+        assert Triangular(0.0, 1.0, mode=5e-324).value(0.5) == pytest.approx(0.75)
+
     def test_moments(self):
         t = Triangular(0.0, 1.0, mode=0.25)
         mean, var = t.density_moments()
@@ -370,6 +381,27 @@ class TestRegistryAndBase:
         lin = Linear(2.0, 6.0)
         assert lin.value(4.0) == pytest.approx(0.5)
         assert lin.kind == "linear"
+
+    def test_equal_curves_hash_equal(self):
+        # two separately built curves of each kind are one dict key, and a
+        # field or the kind apart makes another
+        params = {
+            "triangular": {"mode": 0.3},
+            "scaled_beta": {"alpha": 2.0, "beta": 3.0},
+            "exponential_normalized": {"gamma": 2.0},
+            "truncated_gaussian": {"center": 0.4, "scale": 0.2},
+            "log_wealth": {"wealth": 1.5},
+            "step": {"threshold": 0.5},
+            "piecewise_linear": {"points": ((0.0, 0.0), (0.3, 0.6), (1.0, 1.0))},
+        }
+        for kind, cls in CURVE_KINDS.items():
+            a, b = (cls(0.0, 1.0, **params.get(kind, {})) for _ in range(2))
+            assert a is not b and a == b and hash(a) == hash(b) and hash(a) == hash(a)
+            assert {a: kind}[b] == kind
+        assert Uniform(0.0, 1.0) != Uniform(0.0, 2.0) and Uniform(0.0, 1.0) != Linear(0.0, 1.0)
+        assert Triangular(0.0, 1.0, mode=0.3) != Triangular(0.0, 1.0, mode=0.4)
+        assert Triangular(0.0, 1.0) == Triangular(0.0, 1.0, mode=0.5)
+        assert len({Uniform(0.0, 1.0), Linear(0.0, 1.0), Uniform(0.0, 1.0)}) == 2
 
     def test_frozen(self):
         u = Uniform(0.0, 1.0)

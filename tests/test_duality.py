@@ -4,6 +4,8 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from aspeq import (
@@ -252,18 +254,17 @@ class TestExceedance:
         )
 
 
+ROOT_LOTTERIES = [
+    ScaledBeta(0.0, 200.0, alpha=1.4, beta=3.0),
+    Triangular(0.0, 200.0, mode=40.0),
+    TruncatedGaussian(0.0, 200.0, center=90.0, scale=10.0),
+    PiecewiseLinear(0.0, 200.0, points=((0.0, 0.0), (40.0, 0.1), (100.0, 0.6), (160.0, 0.7), (200.0, 1.0))),
+]
+
+
 class TestEffectiveGamma:
     @pytest.mark.parametrize("level", [0.2, 0.5, 0.8])
-    @pytest.mark.parametrize(
-        "F",
-        [
-            ScaledBeta(0.0, 200.0, alpha=1.4, beta=3.0),
-            Triangular(0.0, 200.0, mode=40.0),
-            TruncatedGaussian(0.0, 200.0, center=90.0, scale=10.0),
-            PiecewiseLinear(0.0, 200.0, points=((0.0, 0.0), (40.0, 0.1), (100.0, 0.6), (160.0, 0.7), (200.0, 1.0))),
-        ],
-        ids=lambda F: F.kind,
-    )
+    @pytest.mark.parametrize("F", ROOT_LOTTERIES, ids=lambda F: F.kind)
     def test_root_edu_is_the_integral_at_the_root(self, F, level):
         # the aspiration equivalent the root hands back, read from the EDU
         # the search integrated there, has the bits of integrating it again
@@ -271,6 +272,55 @@ class TestEffectiveGamma:
         g, ae = effective_root(F, target, None)
         assert g == effective_gamma(F, target)
         assert ae == aspiration_equivalent(F, exponential_or_linear(0.0, 200.0, g))
+
+    @pytest.mark.parametrize("level", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("F", ROOT_LOTTERIES, ids=lambda F: F.kind)
+    def test_root_takes_at_most_two_integrals(self, quadrature_batches, F, level):
+        # the surrogate's root meets the stop at the first or second exact EDU
+        effective_root(F, float(f"{F.quantile(level):.6g}"))
+        assert sum(n for _, n in quadrature_batches) <= 2
+
+    def test_fallback_meets_the_stop(self, quadrature_batches):
+        # the root sits at gamma*span = -315, in a boundary layer the fixed
+        # rule cannot resolve: the surrogate's start and its three secant
+        # steps miss the stop, and the bracket search finds the root
+        F = ExponentialNormalized(0.0, 200.0, gamma=0.01)
+        g, ae = effective_root(F, 199.363)
+        assert len(quadrature_batches) > 4
+        U = exponential_or_linear(0.0, 200.0, g)
+        assert abs(expected_disutility(F, U) - F.value(199.363)) <= 1e-10
+        assert ae == aspiration_equivalent(F, U)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.builds(Uniform, st.just(0.0), st.just(200.0)),
+            st.builds(Triangular, st.just(0.0), st.just(200.0), st.floats(0.0, 200.0)),
+            st.builds(ScaledBeta, st.just(0.0), st.just(200.0), st.floats(0.2, 9.0), st.floats(0.2, 9.0)),
+            st.builds(TruncatedGaussian, st.just(0.0), st.just(200.0), st.floats(20.0, 180.0), st.floats(0.05, 200.0)),
+            st.builds(ExponentialNormalized, st.just(0.0), st.just(200.0), st.floats(-0.05, -0.001) | st.floats(0.001, 0.05)),
+            st.builds(LogWealth, st.just(0.0), st.just(200.0), st.floats(1.0, 300.0)),
+            st.lists(st.tuples(st.floats(1.0, 199.0), st.floats(0.0, 1.0)), min_size=1, max_size=4, unique_by=lambda p: p[0]).map(
+                lambda pts: PiecewiseLinear(0.0, 200.0, points=((0.0, 0.0), *zip(sorted(x for x, _ in pts), sorted(y for _, y in pts)), (200.0, 1.0)))),
+        ),
+        st.floats(0.01, 0.99),
+    )
+    def test_root_meets_the_stop(self, F, level):
+        # every root is a point whose exact EDU meets the stop, and its AE has
+        # the bits of the one-pair call there; a refusal means no gamma within
+        # the cap reaches the target
+        target = F.quantile(level)
+        p = F.value(target)
+        assume(0.0 < target < 200.0 and 0.0 < p < 1.0)
+        try:
+            g, ae = effective_root(F, target)
+        except UnattainableTargetError:
+            ends = [expected_disutility(F, ExponentialNormalized(0.0, 200.0, gamma=s * GAMMA_SPAN_CAP / 200.0)) for s in (-1, 1)]
+            assert ends[0] < p or ends[1] > p
+            return
+        U = exponential_or_linear(0.0, 200.0, g)
+        assert abs(expected_disutility(F, U) - p) <= 1e-10
+        assert ae == aspiration_equivalent(F, U)
 
     def test_round_trip_on_interior_target(self):
         F = ScaledBeta(0.0, 10.0, alpha=4.0, beta=6.0)
@@ -320,6 +370,14 @@ class TestEffectiveGamma:
         F = Uniform(0.0, 1.0)
         with pytest.raises(UnattainableTargetError):
             effective_gamma(F, 1e-5)
+
+    def test_cap_refusal_whatever_the_span(self):
+        # 500 / span rounds up for this span, so a gamma at the cap must be
+        # stepped down to one the exponential curve accepts
+        span = 961766.9156903872
+        assert (GAMMA_SPAN_CAP / span) * span > GAMMA_SPAN_CAP
+        with pytest.raises(UnattainableTargetError):
+            effective_gamma(Uniform(0.0, span), 1e-5 * span)
 
     def test_target_in_zero_mass_tail_rejected(self):
         # no mass below 0.3: every curvature puts the AE above the target

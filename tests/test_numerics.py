@@ -29,6 +29,7 @@ from aspeq.numerics import (
     central_difference,
     cumulants,
     find_root,
+    fixed_rule,
     integrate,
     integrate_many,
     merge_knots,
@@ -313,6 +314,16 @@ class TestCumulantsBatch:
 def test_merge_knots():
     assert merge_knots((0.5,), (0.25, 0.5), ()) == (0.25, 0.5)
     assert merge_knots() == ()
+
+
+def test_fixed_rule():
+    # 4 Kronrod panels on each piece between knots: exact for a degree-22
+    # polynomial, with no node on a knot or an end; knots outside are ignored
+    x, w = fixed_rule(-1.0, 3.0, (0.5, 7.0, 0.5), 4)
+    assert len(x) == len(w) == 2 * 4 * 15
+    assert (x > -1.0).all() and (x < 3.0).all() and not np.isin(x, [0.5]).any()
+    assert math.isclose(np.add.reduce(w * x**22), (3.0**23 + 1.0) / 23, rel_tol=1e-14)
+    assert np.add.reduce(w[x < 0.5]) == pytest.approx(1.5, rel=1e-15)
 
 
 class TestBatchedIntegrand:
