@@ -264,9 +264,11 @@ def effective_gamma(lottery: Curve, target: float, spec: QuadratureSpec | None =
 _GRID = np.array([-GAMMA_SPAN_CAP, *(-(4.0**k) for k in range(4, -5, -1)), *(4.0**k for k in range(-4, 5)), GAMMA_SPAN_CAP])
 
 
-def _surrogate_root(lottery: Curve, p: float) -> tuple[float, float] | None:
-    """The gamma where EDU, integrated on a fixed rule, crosses p, and its
-    slope there; None where it does not cross within the cap.
+def _surrogate_root(lottery: Curve, p: float, cap: float) -> tuple[float, float | None]:
+    """Where the exact EDU search starts: the gamma where EDU, integrated
+    on a fixed rule, crosses p, with its slope there if that is finite and
+    negative; or, where it does not cross within |gamma| <= cap, the cap
+    end the crossing lies past, with no slope.
 
     EDU(gamma) is the integral of u_gamma F: with F sampled once on the
     rule, the sum of w F(x) u_gamma(x) for any gamma, bounded for every
@@ -280,7 +282,8 @@ def _surrogate_root(lottery: Curve, p: float) -> tuple[float, float] | None:
     grid = np.add.reduce(mass * np.exp(-a[:, None] * d[(_GRID > 0).astype(int)]), 1) * a / -np.expm1(-a * span)
     cross = np.flatnonzero(grid <= p)  # EDU falls as gamma rises
     if not len(cross) or not cross[0]:
-        return None
+        # above p at +cap, or at or below it at -cap
+        return (-cap if len(cross) else cap), None
     left, right = (_GRID[cross[0] - 1 : cross[0] + 1] / span).tolist()
 
     def edu(g: float) -> tuple[float, float]:
@@ -301,11 +304,10 @@ def _surrogate_root(lottery: Curve, p: float) -> tuple[float, float] | None:
             break
         left, right = (g, right) if value > p else (left, g)
         step = g - (value - p) / slope if slope else right
-        step = step if left < step < right else 0.5 * (left + right)
-        if abs(step - g) <= 1e-15 * max(abs(g), 1.0 / span):
-            return step, slope
-        g = step
-    return g, slope
+        g, last = (step if left < step < right else 0.5 * (left + right)), g
+        if abs(g - last) <= 1e-15 * max(abs(last), 1.0 / span):
+            break
+    return g, (slope if -math.inf < slope < 0.0 else None)
 
 
 def effective_root(
@@ -316,12 +318,15 @@ def effective_root(
     GAMMA_SPAN_CAP, and aspiration_equivalent(lottery, exp_gamma) with
     the bits of that call, read from the EDU integrated at the root.
 
-    EDU falls strictly as gamma rises. The search integrates EDU first at
-    the root of a fixed-rule surrogate (_surrogate_root), then takes up to
-    3 secant steps, the first with the surrogate's slope. Where the
-    surrogate has no root or those steps miss, the bracket [-1, 1]/span
-    grows by factors of 4 toward the side still disagreeing in sign, up to
-    the cap, and find_root searches it. gamma = 0 is the linear curve."""
+    EDU falls strictly as gamma rises, so the sign of EDU - F(target)
+    gives the root's side. The search integrates EDU first where a
+    fixed-rule surrogate puts the root (_surrogate_root), then walks
+    toward it by steps growing 4-fold, the first the surrogate's Newton
+    step, or 1/span where it has no slope; a step that would stop short
+    of the cap by less than its own length goes to the cap. Once the sign
+    changes, find_root solves between the last two points. A target is
+    refused only where the EDU at the cap still has the wrong sign.
+    gamma = 0 is the linear curve."""
     lo, hi = lottery.lo, lottery.hi
     span = hi - lo
     if not lo < target < hi:
@@ -350,34 +355,21 @@ def effective_root(
     cap, tol = GAMMA_SPAN_CAP / span, RootBracket.value_tolerance
     if cap * span > GAMMA_SPAN_CAP:
         cap = math.nextafter(cap, 0.0)
-    start = _surrogate_root(lottery, p)
-    if start is not None:
-        g, slope = start
-        f = gap(g)
-        for _ in range(3):
-            if abs(f) <= tol or not slope < 0.0:
-                break
-            g_next = min(max(g - f / slope, -cap), cap)
-            if g_next == g:
-                break
-            f_next = gap(g_next)
-            g, f, slope = g_next, f_next, (f_next - f) / (g_next - g)
-        if abs(f) <= tol:
-            return root(g)
-
-    g_lo, g_hi = -1.0 / span, 1.0 / span
-    f_lo, f_hi = gap(g_lo), gap(g_hi)
-    # gap is decreasing: f_lo < 0 means the root lies further left, f_hi > 0
-    # further right
-    while f_lo < 0.0 and g_lo > -cap:
-        g_lo = max(g_lo * 4.0, -cap)
-        f_lo = gap(g_lo)
-    while f_hi > 0.0 and g_hi < cap:
-        g_hi = min(g_hi * 4.0, cap)
-        f_hi = gap(g_hi)
-    if f_lo < 0.0 or f_hi > 0.0:
-        raise UnattainableTargetError(
-            f"no curvature with |gamma|*span <= {GAMMA_SPAN_CAP:g} reaches "
-            f"cumulative probability {p!r} at the target"
-        )
-    return root(find_root(gap, RootBracket(g_lo, g_hi)))
+    g, slope = _surrogate_root(lottery, p, cap)
+    f = gap(g)
+    # the root lies toward the cap end the gap's sign points to
+    end = math.copysign(cap, f)
+    step = -f / slope if slope else math.copysign(1.0 / span, f)
+    while abs(f) > tol:
+        if g == end:
+            raise UnattainableTargetError(
+                f"no curvature with |gamma|*span <= {GAMMA_SPAN_CAP:g} reaches "
+                f"cumulative probability {p!r} at the target"
+            )
+        # a step that would leave less than its own length goes to the cap
+        g_next = g + step if abs(end - g) > 2.0 * abs(step) else end
+        f_next = gap(g_next)
+        if (f_next > 0.0) != (f > 0.0):
+            return root(find_root(gap, RootBracket(*sorted((g, g_next)))))
+        g, f, step = g_next, f_next, 4.0 * step
+    return root(g)

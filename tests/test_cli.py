@@ -406,6 +406,22 @@ class TestSolveGamma:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve-gamma", "update-target"])
+    def test_target_past_the_cap_refused_at_one_integral(self, tmp_path, capsys, quadrature_batches, command):
+        # the exact EDU at the cap is the one integral a refusal needs
+        obj = {
+            "domain": {"lo": 0.0, "hi": 1.0},
+            "lotteries": [{"name": "u", "kind": "uniform"}, BASIC["lotteries"][0]],
+            "lottery": "u", "old_lottery": "u", "new_lottery": "beta23", "target": 1e-5,
+        }
+        code, _ = run(command, "--scenario", write_scenario(tmp_path, obj))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: no curvature with |gamma|*span <= 500 reaches cumulative "
+            "probability 1e-05 at the target\n"
+        )
+        assert sum(n for _, n in quadrature_batches) == 1
+
     @pytest.mark.parametrize("tol", ["1e-3", "1e-6"])
     def test_same_gamma_as_update_target(self, tol):
         # --tol is the quadrature tolerance alone: the root's own

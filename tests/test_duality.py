@@ -32,7 +32,7 @@ from aspeq import (
     exponential_or_linear,
 )
 from aspeq.duality import GAMMA_SPAN_CAP, _invert, effective_root, evaluate_pairs
-from aspeq.numerics import NumericsError, QuadratureSpec
+from aspeq.numerics import ConvergenceError, NumericsError, QuadratureSpec
 
 
 def oracle_pair(pdf, Ucdf, updf, Fcdf, lo, hi, splits=()):
@@ -280,13 +280,13 @@ class TestEffectiveGamma:
         effective_root(F, float(f"{F.quantile(level):.6g}"))
         assert sum(n for _, n in quadrature_batches) <= 2
 
-    def test_fallback_meets_the_stop(self, quadrature_batches):
+    def test_boundary_layer_root_meets_the_stop(self, quadrature_batches):
         # the root sits at gamma*span = -315, in a boundary layer the fixed
-        # rule cannot resolve: the surrogate's start and its three secant
-        # steps miss the stop, and the bracket search finds the root
+        # rule cannot resolve: the surrogate's start misses the stop, and the
+        # walk from it brackets the root within a few exact EDUs
         F = ExponentialNormalized(0.0, 200.0, gamma=0.01)
         g, ae = effective_root(F, 199.363)
-        assert len(quadrature_batches) > 4
+        assert sum(n for _, n in quadrature_batches) <= 8
         U = exponential_or_linear(0.0, 200.0, g)
         assert abs(expected_disutility(F, U) - F.value(199.363)) <= 1e-10
         assert ae == aspiration_equivalent(F, U)
@@ -303,7 +303,7 @@ class TestEffectiveGamma:
             st.lists(st.tuples(st.floats(1.0, 199.0), st.floats(0.0, 1.0)), min_size=1, max_size=4, unique_by=lambda p: p[0]).map(
                 lambda pts: PiecewiseLinear(0.0, 200.0, points=((0.0, 0.0), *zip(sorted(x for x, _ in pts), sorted(y for _, y in pts)), (200.0, 1.0)))),
         ),
-        st.floats(0.01, 0.99),
+        st.floats(0.001, 0.999),
     )
     def test_root_meets_the_stop(self, F, level):
         # every root is a point whose exact EDU meets the stop, and its AE has
@@ -365,19 +365,32 @@ class TestEffectiveGamma:
             with pytest.raises(UnattainableTargetError):
                 effective_gamma(F, bad)
 
-    def test_target_beyond_gamma_cap_rejected(self):
-        # a target this deep into the tail needs gamma past the cap
+    def test_target_beyond_gamma_cap_rejected(self, quadrature_batches):
+        # a target this deep into the tail needs gamma past the cap: the
+        # surrogate points past it, and the one exact EDU, at the cap,
+        # confirms the refusal
         F = Uniform(0.0, 1.0)
         with pytest.raises(UnattainableTargetError):
             effective_gamma(F, 1e-5)
+        assert sum(n for _, n in quadrature_batches) == 1
 
-    def test_cap_refusal_whatever_the_span(self):
+    def test_cap_refusal_whatever_the_span(self, quadrature_batches):
         # 500 / span rounds up for this span, so a gamma at the cap must be
         # stepped down to one the exponential curve accepts
         span = 961766.9156903872
         assert (GAMMA_SPAN_CAP / span) * span > GAMMA_SPAN_CAP
         with pytest.raises(UnattainableTargetError):
             effective_gamma(Uniform(0.0, span), 1e-5 * span)
+        assert sum(n for _, n in quadrature_batches) == 1
+
+    def test_tiny_span_is_not_refused(self):
+        # on [5, 5 + 1e-9] the nodes carry about 1e-7 of relative rounding,
+        # so no EDU near the root (gamma*span = -101.5) meets the 1e-10
+        # stop: a convergence failure, not an unattainable target, since
+        # the walk refuses only at the cap
+        F = ExponentialNormalized(5.0, 5.0 + 1e-9, gamma=3e9)
+        with pytest.raises(ConvergenceError):
+            effective_gamma(F, 5.00000000099)
 
     def test_target_in_zero_mass_tail_rejected(self):
         # no mass below 0.3: every curvature puts the AE above the target
