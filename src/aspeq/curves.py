@@ -6,6 +6,8 @@ describes a lottery; read as a normalized utility it describes preference.
 Every kind exposes value, density (derivative of value), and quantile
 (generalized inverse), plus its interior kinks so quadrature can split
 panels there and its tolerance -C'/C'' where that has a closed form.
+Curve.sample_hints cuts a narrow curve of any kind at its own quantiles,
+so its mass cannot slip between quadrature's opening samples.
 value and density take a float or a 1-D array of points (a float in
 gives a float out); quantile takes one probability.
 
@@ -124,15 +126,20 @@ class Curve:
 
     def sample_hints(self) -> tuple[float, ...]:
         """Interior points quadrature should cut at though the curve is
-        smooth there: where a concentrated density would otherwise slip
-        between the opening samples, or grading panels toward an end where
-        a derivative is singular. Unlike kinks these mark no nonsmoothness."""
-        return ()
+        smooth there. Unlike kinks these mark no nonsmoothness. Every kind
+        but the exponential one cuts a narrow curve, one whose middle half
+        spans under span/8, at its own quantiles 1/2, 2**-k and 1 - 2**-k,
+        so no mass slips between the opening samples however far it
+        reaches; a kind adds the cuts its own shape needs."""
+        if self.quantile(0.75) - self.quantile(0.25) >= self.span / 8.0:
+            return ()
+        ps = (0.5, *(q for k in (3, 10, 40) for q in (2.0**-k, 1.0 - 2.0**-k)))
+        return tuple(x for p in ps if self.lo < (x := self.quantile(p)) < self.hi)
 
     def _ladder(self, anchor: float, step: float, ratio: float, rungs: range) -> list[float]:
         """The cuts anchor + step * ratio**k, k in rungs, that fall inside
         (lo, hi): a geometric ladder walking quadrature into a boundary
-        layer or an end singularity, or out from a narrow peak."""
+        layer or an end singularity."""
         return [x for k in rungs if self.lo < (x := anchor + step * ratio**k) < self.hi]
 
     @functools.cached_property
@@ -293,8 +300,8 @@ class ScaledBeta(Curve):
     Either shape below 1 makes the density blow up at the matching
     endpoint. value and quantile stay perfectly usable there (the CDF is
     continuous); density-side integrals are refused via
-    has_singular_density. sample_hints grades panels toward an end whose
-    shape is not an integer and walks out from a concentrated bell.
+    has_singular_density. sample_hints adds to Curve's narrow-mass cuts a
+    ladder grading panels toward an end whose shape is not an integer.
     """
 
     alpha: float = 1.0
@@ -338,14 +345,7 @@ class ScaledBeta(Curve):
         a, b = float(self.alpha), float(self.beta)
         cuts = self._ladder(self.lo, self.span, 0.25, range(1, 9 if a % 1 else 1))
         cuts += self._ladder(self.hi, -self.span, 0.25, range(1, 9 if b % 1 else 1))
-        # a bell the opening samples could miss, while its log-density's
-        # rounding (about |log B(a, b)| ulps) stays under 2**-32
-        sd = self.span * math.sqrt(a * b / (a + b + 1.0)) / (a + b)
-        if sd < self.span / 16.0 and self._log_norm > -(2.0**20):
-            mean = self.lo + self.span * a / (a + b)
-            cuts += self._ladder(mean, sd, 2.0, range(-1, 6)) + self._ladder(mean, -sd, 2.0, range(-1, 6))
-            cuts += [mean] if self.lo < mean < self.hi else []
-        return tuple(cuts)
+        return (*cuts, *super().sample_hints())
 
 
 GAMMA_SPAN_CAP = 500.0  # largest |gamma| * span keeping the expm1 terms in double range
@@ -397,7 +397,10 @@ class ExponentialNormalized(Curve):
 
     def sample_hints(self) -> tuple[float, ...]:
         # at large |gamma|*span the density is a boundary layer of width
-        # 1/|gamma|; a geometric ladder of cuts walks quadrature into it
+        # 1/|gamma|; a geometric ladder of cuts walks quadrature into it.
+        # It stands in for the narrow-curve quantile cuts, which would also
+        # cut 8.8 < |gamma|*span <= 16 (the bundled gamma 9 utility) and
+        # cost more nodes on the ladder's own curves
         if abs(self.gamma) * self.span <= 16.0:
             return ()
         anchor = self.lo if self.gamma > 0.0 else self.hi
@@ -450,17 +453,6 @@ class TruncatedGaussian(Curve):
         if p == 1.0:
             return self.hi
         return self.center + self._zscale * float(ndtri(self._base + p * self._mass))
-
-    def sample_hints(self) -> tuple[float, ...]:
-        # a narrow bell can sit entirely between the opening samples
-        if self.scale >= self.span / 8.0:
-            return ()
-        return tuple(
-            x
-            for k in (-2.0, -1.0, 0.0, 1.0, 2.0)
-            for x in (self.center + k * self.scale,)
-            if self.lo < x < self.hi
-        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,7 +34,7 @@ class NumericsError(Exception):
 
 
 class QuadratureError(NumericsError):
-    """Adaptive refinement hit its depth limit or saw a non-finite value."""
+    """Adaptive refinement hit its depth limit or panel cap, or saw a non-finite value."""
 
 
 class BracketError(NumericsError):
@@ -85,6 +85,9 @@ class RootBracket:
 
 DEFAULT_QUADRATURE = QuadratureSpec()
 MAX_CUMULANT_ORDER = 8
+# most panels one integral may hold (about twice the noisiest tested job):
+# an integrand whose rounding exceeds its budget would split until out of memory
+MAX_PANELS = 2**16
 
 
 # Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK qk15), one half of the symmetric
@@ -321,9 +324,9 @@ def integrate_many(
 
     The list holds each job's outcome in job order: its value, or the
     exception it fails with (bad limits, an integrand error, a non-finite
-    value, depth exhausted). A failed integral leaves the loop as a
-    finished one does, so every outcome is what the job gives alone,
-    whatever fails before or after it.
+    value, depth exhausted, more than MAX_PANELS panels). A failed
+    integral leaves the loop as a finished one does, so every outcome is
+    what the job gives alone, whatever fails before or after it.
     """
     spec = spec or DEFAULT_QUADRATURE
     results: list = [None] * len(jobs)
@@ -467,16 +470,19 @@ def _refine(integrands, sizes: list[int], ends: np.ndarray, spec: QuadratureSpec
         left, right, down = halved[:3]
         mid = 0.5 * (left + right)
         down -= 1
-        stuck = (down < 0) | (mid <= left) | (mid >= right)
+        grown = [size + c for size, c in zip(sizes, counts)]
+        # a split is stuck past the depth limit, where halving no longer
+        # moves the panel's ends, or where it takes its integral past the cap
+        stuck = (down < 0) | (mid <= left) | (mid >= right) | np.repeat(np.array(grown) > MAX_PANELS, counts)
         failed = []
         if np.count_nonzero(stuck):  # each integral's first stuck panel in split order
             at = split[stuck]
             owners, firsts = np.unique(np.searchsorted(np.cumsum(sizes), at, side="right"), return_index=True)
             for k, i in zip(owners.tolist(), at[firsts].tolist()):
                 lo, hi, _, best, bound = panels[:, i].tolist()
+                why = f"panel cap {MAX_PANELS} reached" if grown[k] > MAX_PANELS else "refinement depth exhausted"
                 results[ids[k]] = QuadratureError(
-                    f"refinement depth exhausted on [{lo!r}, {hi!r}]: best "
-                    f"estimate {best!r}, error bound {bound:.3e}"
+                    f"{why} on [{lo!r}, {hi!r}]: best estimate {best!r}, error bound {bound:.3e}"
                 )
                 failed.append(k)
         # the left halves, then the right halves, each in split order
@@ -503,7 +509,7 @@ def _refine(integrands, sizes: list[int], ends: np.ndarray, spec: QuadratureSpec
         if len(ids) > 1:
             new_row = np.repeat(np.arange(len(ids)), new_sizes)
             panels = panels[:, np.argsort(np.concatenate([row[keep], new_row]), kind="stable")]
-        sizes = [size + c for size, c in zip(sizes, counts)]
+        sizes = grown
 
 
 def find_root(g: Callable[[float], float], bracket: RootBracket) -> float:

@@ -121,6 +121,31 @@ class TestEval:
         assert "argument --tol" in refused(capsys, "eval", "--scenario", path, "--tol", "2.0")
         assert run("eval", "--scenario", path, "--tol", "1e-6")[0] == 0
 
+    def test_narrow_mass_is_seen(self, tmp_path):
+        # each lottery's mass sits between the opening samples
+        obj = {
+            "domain": {"lo": 0.0, "hi": 1.0},
+            "lotteries": [
+                {"name": "g5", "kind": "truncated_gaussian", "mu": 0.5, "sigma": 1e-5},
+                {"name": "g4", "kind": "truncated_gaussian", "mu": 0.3, "sigma": 1e-4},
+                {"name": "b21", "kind": "scaled_beta", "alpha": 2e6, "beta": 1e6},
+                {"name": "b22", "kind": "scaled_beta", "alpha": 2e6, "beta": 2e6},
+            ],
+            "utilities": [{"name": "lin", "kind": "linear"}],
+        }
+        code, text = run("eval", "--scenario", write_scenario(tmp_path, obj))
+        assert code == 0
+        sums = [float(line.split()[4]) for line in text.splitlines()[1:5]]
+        assert max(abs(s - 1.0) for s in sums) <= 1e-8
+
+    def test_panel_cap_is_a_numeric_failure(self, tmp_path, capsys):
+        # the log-density's rounding outgrows any panel count
+        obj = dict(BASIC, lotteries=[{"name": "b9", "kind": "scaled_beta", "alpha": 1e9, "beta": 1e9}],
+                   utilities=[{"name": "lin", "kind": "linear"}])
+        code, _ = run("eval", "--scenario", write_scenario(tmp_path, obj))
+        assert code == 3
+        assert "panel cap" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_explicit_gammas(self, tmp_path):

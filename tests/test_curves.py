@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import aspeq
 import oracles
 from aspeq import (
     CURVE_KINDS,
@@ -25,11 +27,13 @@ from aspeq import (
     Uniform,
 )
 from aspeq.duality import _pair_job
-from aspeq.numerics import QuadratureSpec, integrate
+from aspeq.numerics import MAX_PANELS, QuadratureError, QuadratureSpec, integrate, integrate_many
+from aspeq.scenarios import load_scenario
 from conftest import smooth_lotteries, smooth_utilities
 
 
 ALL_SMOOTH = smooth_lotteries() + smooth_utilities()
+FIXTURES = Path(aspeq.__file__).parent / "fixtures"
 
 
 @pytest.mark.parametrize("curve", ALL_SMOOTH, ids=lambda c: f"{c.kind}")
@@ -173,14 +177,10 @@ class TestScaledBeta:
                     integrate(logged(f), lo, hi, None, knots)
         assert len(calls) <= 30
 
-    def test_bell_ladder_stops_where_the_density_is_rounding(self):
+    def test_work_stays_bounded_where_the_density_is_rounding(self):
         # the log-density carries about |log B(a, b)| ulps of rounding:
-        # 2**-32.1 at (7e5, 7e5), 2**-31.9 at (8e5, 8e5). Past 2**-32 cuts
-        # at the bell let a tight tolerance chase that noise until memory
-        # runs out; short of it the work stays small at any tolerance
-        assert ScaledBeta(0.0, 1.0, alpha=8e5, beta=8e5).sample_hints() == ()
+        # 2**-32.1 at (7e5, 7e5), whose work stays small at any tolerance
         F = ScaledBeta(0.0, 1.0, alpha=7e5, beta=7e5)
-        assert len(F.sample_hints()) == 15
         spec = QuadratureSpec(relative_tolerance=1e-300)
         for U in (Linear(0.0, 1.0), ExponentialNormalized(0.0, 1.0, gamma=3.0)):
             for role in ("eu", "edu"):
@@ -195,6 +195,48 @@ class TestScaledBeta:
                     return f(xs)
 
                 integrate(capped, lo, hi, spec, knots)
+
+    def test_rounding_past_the_budget_meets_the_panel_cap(self):
+        # at (1e9, 1e9) the rounding is about 2**-21.6, far past the
+        # default budget: refinement would chase it until memory ran out
+        # (1.8 million panels), and the panel cap refuses that job alone
+        lin, exp3 = Linear(0.0, 1.0), ExponentialNormalized(0.0, 1.0, gamma=3.0)
+        huge = _pair_job(ScaledBeta(0.0, 1.0, alpha=1e9, beta=1e9), lin, "eu")
+        others = [
+            _pair_job(ScaledBeta(0.0, 1.0, alpha=7e5, beta=7e5), lin, "eu"),
+            _pair_job(TruncatedGaussian(0.0, 1.0, center=0.3, scale=1e-4), exp3, "edu"),
+        ]
+        first, failed, second = integrate_many([others[0], huge, others[1]])
+        assert isinstance(failed, QuadratureError)
+        assert f"panel cap {MAX_PANELS} reached" in str(failed)
+        assert [first.hex(), second.hex()] == [integrate_many([job])[0].hex() for job in others]
+
+
+class TestNarrowMass:
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            TruncatedGaussian(0.0, 1.0, center=0.5, scale=1e-5),
+            ScaledBeta(0.0, 1.0, alpha=2e6, beta=1e6),
+            PiecewiseLinear(0.0, 1.0, points=((0.0, 0.0), (0.5, 0.001), (0.51, 0.999), (1.0, 1.0))),
+            LogWealth(0.0, 1.0, wealth=1e-9),
+        ],
+        ids=lambda c: c.kind,
+    )
+    def test_any_kind_cuts_at_its_quantiles(self, curve):
+        assert curve.quantile(0.75) - curve.quantile(0.25) < curve.span / 8.0
+        ps = (0.5, 1 / 8, 7 / 8, 2.0**-10, 1 - 2.0**-10, 2.0**-40, 1 - 2.0**-40)
+        assert set(curve.sample_hints()) == {x for x in map(curve.quantile, ps) if 0.0 < x < 1.0}
+
+    def test_no_bundled_curve_is_cut(self):
+        # the fixtures' 9-digit values rest on their opening panels; the
+        # narrowest, a beta(3, 12) with middle half 0.1365 of the span,
+        # stays above span/8, and the gamma*span = 9 exponential (0.122)
+        # keeps its own rule
+        for path in sorted(FIXTURES.glob("*.json")):
+            sc = load_scenario(str(path))
+            for named in (*sc.lotteries, *sc.utilities):
+                assert named.curve.sample_hints() == (), (path.name, named.name)
 
 
 class TestExponentialNormalized:

@@ -108,15 +108,29 @@ class TestDualityIdentity:
                 worst = max(worst, abs(eu + edu - 1.0))
         assert worst <= 2e-9
 
-    @pytest.mark.parametrize("alpha, beta", [(200000, 100000), (40000, 2.5), (3, 30000), (1.5, 40000)])
-    def test_concentrated_beta_is_seen(self, alpha, beta):
+    @pytest.mark.parametrize(
+        "F, want, slack",
+        [
+            *(
+                pytest.param(ScaledBeta(0.0, 1.0, alpha=a, beta=b), a / (a + b), 0.0, id=f"{a:g}-{b:g}")
+                for a, b in ((200000, 100000), (40000, 2.5), (3, 30000), (1.5, 40000))
+            ),
+            # beta(2e6, 1e6)'s log-density, a sum of terms of size
+            # |log B(a, b)| = 1.9e6, carries about that many ulps of rounding:
+            # the mass is seen, but the kernel's rounding moves EU by 7.9e-9,
+            # past its budget (the kernel rewrite is open in ROADMAP.md)
+            pytest.param(ScaledBeta(0.0, 1.0, alpha=2e6, beta=1e6), 2.0 / 3.0, 1e-8, id="2e+06-1e+06"),
+            pytest.param(TruncatedGaussian(0.0, 1.0, center=0.5, scale=1e-5), 0.5, 0.0, id="gaussian-0.5-1e-05"),
+            pytest.param(TruncatedGaussian(0.0, 1.0, center=0.3, scale=1e-4), 0.3, 0.0, id="gaussian-0.3-0.0001"),
+        ],
+    )
+    def test_concentrated_mass_is_seen(self, F, want, slack):
         # the whole lottery sits in a bell far narrower than the opening
-        # panels; under the linear utility EU is its mean, alpha/(alpha+beta)
-        F, U = ScaledBeta(0.0, 1.0, alpha=alpha, beta=beta), Linear(0.0, 1.0)
+        # panels; under the linear utility EU is its mean
+        U = Linear(0.0, 1.0)
         eu, edu = expected_utility(F, U), expected_disutility(F, U)
-        want = alpha / (alpha + beta)
-        assert abs(eu - want) <= max(1e-12, 1e-9 * want)
-        assert abs(eu + edu - 1.0) <= 2e-9
+        assert abs(eu - want) <= max(1e-12, 1e-9 * want, slack)
+        assert abs(eu + edu - 1.0) <= max(2e-9, slack)
 
     def test_edu_is_not_complement_shortcut(self):
         # EDU must come from its own integral; check it against the
