@@ -33,12 +33,8 @@ import numpy as np
 
 from .curves import Curve, SingularDensityError, StepFunctionError
 from .duality import PairBatch, aspiration_equivalent, certain_equivalent
-from .numerics import MAX_CUMULANT_ORDER, QuadratureSpec, central_difference, cumulants
-from .numerics import integrate, merge_knots
+from .numerics import MAX_CUMULANT_ORDER, QuadratureSpec, cumulants, integrate, merge_knots
 
-# C'' is a first difference of the density; slopes below this floor
-# (relative to 1/span^2) read as zero
-ZERO_SLOPE = 1e-9
 KINK_GUARD = 2.0
 
 
@@ -82,25 +78,16 @@ def risk_tolerance(C: Curve, x: float) -> float:
     """-C'(x)/C''(x): how far the curve is from straight at x, in outcome
     units, with math.inf where it is straight. On a utility this is the
     risk tolerance -U'/U''; on a lottery it is the spread tolerance
-    -f/f', and spread_tolerance is this function under that name. It is
-    the curve's closed form if it has one, else a density difference;
-    at an endpoint where the density is 0 or unbounded it is 0.0."""
+    -f/f', and spread_tolerance is this function under that name. Every
+    kind with a density gives it in closed form (Curve.tolerance_at); at
+    an endpoint where the density is 0 or unbounded it is 0.0. A step
+    has no density, and within 2h (h = 1e-5 span) of a kink the
+    curvature is refused."""
     C._check_x(x)
     if C.is_step:
         raise StepFunctionError("a step curve has no density to compare")
-    h = 1e-5 * C.span
-    _guard_kinks(C, x, h)
-    closed = C.tolerance_at(x)
-    if closed is not None:
-        return closed
-    f = C.density(x)
-    if x in (C.lo, C.hi) and (f == 0.0 or math.isinf(f)):
-        # -f/f' tends to 0 at an end where the density vanishes or blows up
-        return 0.0
-    slope = central_difference(C.density, x, h, (C.lo, C.hi))
-    if abs(slope) * C.span**2 <= ZERO_SLOPE:
-        return math.inf
-    return -f / slope
+    _guard_kinks(C, x, 1e-5 * C.span)
+    return C.tolerance_at(x)
 
 
 spread_tolerance = risk_tolerance
@@ -120,7 +107,11 @@ def _taylor2(moments: tuple[float, float], U: Curve, exact: Callable[[], float])
         ) from exc
     # a point mass (a step's moments) needs no correction, even where the
     # tolerance at its point is 0 or undefined
-    term = 0.0 if var == 0.0 or math.isinf(rt) else -0.5 * var / rt
+    if var == 0.0 or math.isinf(rt):
+        term = 0.0
+    else:
+        # a tolerance that underflowed to 0 puts the term past float range
+        term = -0.5 * var / rt if rt else math.copysign(math.inf, -rt)
     approx = mean + term
     return ApproxReport(
         exact=exact(),

@@ -5,7 +5,8 @@ The same object serves two roles: read as a cumulative distribution it
 describes a lottery; read as a normalized utility it describes preference.
 Every kind exposes value, density (derivative of value), and quantile
 (generalized inverse), plus its interior kinks so quadrature can split
-panels there and its tolerance -C'/C'' where that has a closed form.
+panels there; every kind with a density gives its tolerance -C'/C'' in
+closed form.
 Curve.sample_hints cuts a narrow curve of any kind at its own quantiles,
 so its mass cannot slip between quadrature's opening samples.
 value and density take a float or a 1-D array of points (a float in
@@ -148,12 +149,13 @@ class Curve:
         kinks and sample hints, merged once per curve."""
         return merge_knots(self.kinks(), self.sample_hints())
 
-    def tolerance_at(self, x: float) -> float | None:
-        """-C'(x)/C''(x) in closed form, or None where only finite
-        differences give it. Read on a utility this is the risk tolerance
+    def tolerance_at(self, x: float) -> float:
+        """-C'(x)/C''(x) in closed form: math.inf where the curve is
+        straight, and 0.0 at an end where the density starts from 0 or
+        from infinity. Read on a utility this is the risk tolerance
         -U'/U''; read on a lottery, the spread tolerance -f/f'. The caller
         checks x."""
-        return None
+        raise NotImplementedError
 
     def _check_x(self, x: float | np.ndarray) -> np.ndarray:
         try:
@@ -292,6 +294,10 @@ class Triangular(Curve):
             return lo + math.sqrt(p * (hi - lo) * (m - lo))
         return hi - math.sqrt((1.0 - p) * (hi - lo) * (hi - m))
 
+    def tolerance_at(self, x: float) -> float:
+        # each side's density is a straight line through 0 at its end
+        return float((self.lo if self._on_left(x) else self.hi) - x)
+
 
 @dataclass(frozen=True, eq=False)
 class ScaledBeta(Curve):
@@ -338,6 +344,16 @@ class ScaledBeta(Curve):
     def quantile(self, p: float) -> float:
         self._check_p(p)
         return self.lo + self.span * float(betaincinv(self.alpha, self.beta, p))
+
+    def tolerance_at(self, x: float) -> float:
+        # f'/f = (alpha - 1)/(x - lo) - (beta - 1)/(hi - x); a unit
+        # shape's term is 0 up to its own end
+        a, b = self.alpha - 1.0, self.beta - 1.0
+        left, right = float(x) - self.lo, self.hi - float(x)
+        if (a and not left) or (b and not right):
+            return 0.0  # the density starts from 0 or from infinity
+        slope = (a / left if a else 0.0) - (b / right if b else 0.0)
+        return -1.0 / slope if slope else math.inf
 
     def sample_hints(self) -> tuple[float, ...]:
         # x**(a-1) and x**a are singular in some derivative at an end whose
@@ -453,6 +469,11 @@ class TruncatedGaussian(Curve):
         if p == 1.0:
             return self.hi
         return self.center + self._zscale * float(ndtri(self._base + p * self._mass))
+
+    def tolerance_at(self, x: float) -> float:
+        # f'/f = -(x - center)/scale**2
+        offset = float(x) - self.center
+        return self.scale * (self.scale / offset) if offset else math.inf
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: quadrature, bracketed root finding, a difference
-stencil, and cumulants of a density on a bounded interval.
+"""Shared numerical kernels: quadrature, bracketed root finding, and
+cumulants of a density on a bounded interval.
 
 Everything here works on plain callables over a closed interval [lo, hi].
 The quadrature is globally adaptive Gauss-Kronrod 7/15: each panel's
@@ -564,33 +564,6 @@ def find_root(g: Callable[[float], float], bracket: RootBracket) -> float:
                 f"bracket collapsed at x={best!r} with |g|={abs(gbest):.3e} > {tol:.1e}"
             )
     raise ConvergenceError("root iteration did not converge in 200 steps")
-
-
-def central_difference(
-    f: Callable[[float], float],
-    x: float,
-    h: float | None = None,
-    bounds: tuple[float, float] | None = None,
-) -> float:
-    """Second-order first derivative of f at x.
-
-    With bounds given, h defaults to 1e-5 times the interval width and the
-    stencil switches to a one-sided second-order form when x sits within h
-    of an end, so f is never sampled outside [lo, hi].
-    """
-    if bounds is not None:
-        lo, hi = bounds
-        if not lo <= x <= hi:
-            raise ValueError(f"x={x!r} outside bounds [{lo!r}, {hi!r}]")
-        if h is None:
-            h = 1e-5 * (hi - lo)
-        if x - h < lo:
-            return (-3.0 * f(x) + 4.0 * f(x + h) - f(x + 2.0 * h)) / (2.0 * h)
-        if x + h > hi:
-            return (3.0 * f(x) - 4.0 * f(x - h) + f(x - 2.0 * h)) / (2.0 * h)
-    elif h is None:
-        h = 1e-5 * max(1.0, abs(x))
-    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 def cumulants(

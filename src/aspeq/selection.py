@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .curves import Curve
 from .duality import DomainMismatchError, DualityResult, PairBatch, evaluate_pairs
-from .numerics import QuadratureSpec
+from .numerics import NumericsError, QuadratureSpec
 
 SADDLE_TOLERANCE = 1e-9
 
@@ -117,7 +117,9 @@ def evaluate_matrix(
     utilities: list[Curve],
     spec: QuadratureSpec | None = None,
 ) -> EvalMatrix:
-    """All four quantities for every (lottery, utility) cell."""
+    """All four quantities for every (lottery, utility) cell. The first
+    error in cell order is raised; a domain mismatch or a numeric failure
+    is prefixed with its cell (i, j) and keeps its class."""
     if not lotteries or not utilities:
         raise ValueError("need at least one lottery and one utility")
     results = evaluate_pairs([(f, u) for f in lotteries for u in utilities], spec)
@@ -127,8 +129,8 @@ def evaluate_matrix(
         for j in range(len(utilities)):
             try:
                 row.append(next(results))
-            except DomainMismatchError as exc:
-                raise DomainMismatchError(f"cell ({i}, {j}): {exc}") from exc
+            except (DomainMismatchError, NumericsError) as exc:
+                raise type(exc)(f"cell ({i}, {j}): {exc}") from exc
         rows.append(row)
     return EvalMatrix(
         lotteries=tuple(lotteries),

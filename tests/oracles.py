@@ -81,6 +81,16 @@ def logw_cdf(x, lo, hi, w):
     return (mp.log(w + x) - mp.log(w + lo)) / (mp.log(w + hi) - mp.log(w + lo))
 
 
+def polyline_cdf(x, points):
+    """Linear interpolation through the (x, value) knots."""
+    x = mp.mpf(x)
+    knots = [(mp.mpf(a), mp.mpf(b)) for a, b in points]
+    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+        if x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    return knots[-1][1]
+
+
 def eu(pdf, U, lo, hi, splits=()):
     """∫ pdf(x) U(x) dx with optional interior split points."""
     pts = [mp.mpf(lo), *[mp.mpf(s) for s in splits], mp.mpf(hi)]

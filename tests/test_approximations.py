@@ -1,6 +1,7 @@
 """Curvature tolerances, second-order equivalents, cumulant series."""
 
 import math
+import warnings
 from dataclasses import astuple
 from itertools import product
 
@@ -9,6 +10,7 @@ import pytest
 
 import oracles
 from aspeq import (
+    CURVE_KINDS,
     CurvatureError,
     Curve,
     DomainMismatchError,
@@ -52,6 +54,13 @@ class TestRiskTolerance:
         U = LogWealth(0.0, 10.0, wealth=2.5)
         assert risk_tolerance(U, 4.0) == pytest.approx(6.5)
 
+    def test_truncated_gaussian_analytic(self):
+        # -U'/U'' = scale^2/(x - center): convex below the center, so the
+        # tolerance comes out negative there
+        U = TruncatedGaussian(0.0, 1.0, center=0.8, scale=0.4)
+        x = 0.3
+        assert risk_tolerance(U, x) == pytest.approx(0.4**2 / (x - 0.8), rel=1e-12)
+
     def test_piecewise_linear_flat_between_kinks(self):
         U = PiecewiseLinear(0.0, 1.0, points=((0.0, 0.0), (0.4, 0.7), (1.0, 1.0)))
         assert math.isinf(risk_tolerance(U, 0.2))
@@ -64,13 +73,6 @@ class TestRiskTolerance:
     def test_step_rejected(self):
         with pytest.raises(StepFunctionError):
             risk_tolerance(Step(0.0, 1.0, threshold=0.5), 0.5)
-
-    def test_numeric_path_matches_analytic_shape(self):
-        # truncated-Gaussian utility has -U'/U'' = scale^2/(x - center):
-        # convex below the center, so the tolerance comes out negative there
-        U = TruncatedGaussian(0.0, 1.0, center=0.8, scale=0.4)
-        x = 0.3
-        assert risk_tolerance(U, x) == pytest.approx(0.4**2 / (x - 0.8), rel=1e-4)
 
     def test_out_of_domain(self):
         from aspeq import DomainError
@@ -129,8 +131,14 @@ class TestSpreadTolerance:
             (ScaledBeta(0.0, 1.0, alpha=2.0, beta=2.0), 1.0),
             (ScaledBeta(0.0, 1.0, alpha=2.0, beta=3.0), 1.0),
             (Triangular(0.0, 1.0, mode=0.3), 0.0),
+            (ScaledBeta(0.0, 1.0, alpha=2.0, beta=8.0), 1.0),
+            (ScaledBeta(-1.0, 3.0, alpha=3.0, beta=1.0), -1.0),
+            (ScaledBeta(-1.0, 3.0, alpha=1.0, beta=2.5), 3.0),
         ],
-        ids=["beta_lower", "beta_upper", "beta_flat_upper", "triangular_lower"],
+        ids=[
+            "beta_lower", "beta_upper", "beta_flat_upper", "triangular_lower",
+            "beta_flatter_upper", "beta_flat_lower", "beta_non_integer_upper",
+        ],
     )
     def test_zero_density_end_is_positive_zero(self, F, x):
         assert F.density(x) == 0.0
@@ -196,6 +204,14 @@ class TestAeTaylor:
         U = TruncatedGaussian(0.0, 1.0, center=0.45, scale=0.12)
         rep = ae_taylor2(F, U)
         assert abs(rep.exact - rep.approx) <= 1e-3
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170], ids=["subnormal", "underflow"])
+    def test_tolerance_past_float_range_gives_an_infinite_term(self, scale):
+        # 0.2 off the center the tolerance is -scale**2 / 0.2: subnormal,
+        # or rounded to -0.0
+        F = TruncatedGaussian(0.0, 1.0, center=0.5, scale=scale)
+        rep = ae_taylor2(F, ExponentialNormalized(0.0, 1.0, gamma=3.0))
+        assert rep.tolerance_term == math.inf and rep.approx == math.inf
 
     def test_triangular_kink_message_mentions_limit(self):
         F = Triangular(0.0, 1.0)
@@ -295,40 +311,109 @@ class TestCumulantSeries:
             ae_cumulant_series(F, ScaledBeta(0.0, 1.0, alpha=0.5, beta=2.0), terms=3)
 
 
+PIECEWISE_KNOTS = ((0.0, 0.0), (0.4, 0.7), (1.0, 1.0))
+
+
+def _oracle_tolerance(cdf, x, lo, hi):
+    """-C'/C'' at x from an mpmath CDF, one-sided at an end."""
+    direction = 1 if x == lo else -1 if x == hi else 0
+    d1, d2 = (mp.diff(cdf, x, n, direction=direction) for n in (1, 2))
+    return -d1 / d2 if d2 else mp.inf
+
+
 class TestOneTolerance:
     @pytest.mark.parametrize(
-        "curve,xs",
+        "curve,cdf,xs",
         [
-            (Uniform(0.0, 2.0), (0.3, 1.0, 1.7)),
-            (Linear(-1.0, 1.0), (-0.5, 0.0, 0.8)),
-            (ExponentialNormalized(0.0, 1.0, gamma=5.0), (0.1, 0.5, 0.9)),
-            (ExponentialNormalized(0.0, 10.0, gamma=-0.7), (1.0, 5.0, 9.0)),
-            (LogWealth(0.0, 10.0, wealth=2.5), (1.0, 4.0, 9.0)),
-            (PiecewiseLinear(0.0, 1.0, points=((0.0, 0.0), (0.4, 0.7), (1.0, 1.0))), (0.2, 0.7)),
+            (Uniform(0.0, 2.0), lambda x: oracles.linear_cdf(x, 0, 2), (0.0, 0.3, 1.0, 1.7, 2.0)),
+            (Linear(-1.0, 1.0), lambda x: oracles.linear_cdf(x, -1, 1), (-1.0, -0.5, 0.0, 0.8, 1.0)),
+            (
+                ExponentialNormalized(0.0, 1.0, gamma=5.0),
+                lambda x: oracles.exp_cdf(x, 0, 1, 5),
+                (0.0, 0.1, 0.5, 0.9, 1.0),
+            ),
+            (
+                ExponentialNormalized(0.0, 10.0, gamma=-0.7),
+                lambda x: oracles.exp_cdf(x, 0, 10, -0.7),
+                (0.0, 1.0, 5.0, 9.0, 10.0),
+            ),
+            (LogWealth(0.0, 10.0, wealth=2.5), lambda x: oracles.logw_cdf(x, 0, 10, 2.5), (0.0, 1.0, 4.0, 9.0, 10.0)),
+            (
+                PiecewiseLinear(0.0, 1.0, points=PIECEWISE_KNOTS),
+                lambda x: oracles.polyline_cdf(x, PIECEWISE_KNOTS),
+                (0.0, 0.2, 0.7, 1.0),
+            ),
+            (Triangular(0.0, 1.0), lambda x: oracles.tri_cdf(x, 0, 1, 0.5), (0.0, 0.25, 0.75, 1.0)),
+            (Triangular(-2.0, 3.0, mode=-2.0), lambda x: oracles.tri_cdf(x, -2, 3, -2), (-2.0, 0.5, 3.0)),
+            (Triangular(-2.0, 3.0, mode=3.0), lambda x: oracles.tri_cdf(x, -2, 3, 3), (-2.0, 0.5, 3.0)),
+            (
+                # the center is the flat top: infinite there
+                TruncatedGaussian(0.0, 1.0, center=0.8, scale=0.4),
+                lambda x: oracles.gauss_cdf(x, 0, 1, 0.8, 0.4),
+                (0.0, 0.3, 0.8, 0.95, 1.0),
+            ),
+            (
+                TruncatedGaussian(10.0, 30.0, center=5.0, scale=3.0),
+                lambda x: oracles.gauss_cdf(x, 10, 30, 5, 3),
+                (10.0, 17.5, 30.0),
+            ),
+            (
+                ScaledBeta(0.0, 1.0, alpha=2.0, beta=3.0),
+                lambda x: oracles.beta_cdf(x, 0, 1, 2, 3),
+                (0.0, 0.19321634509363028, 0.2, 0.7),
+            ),
+            (
+                # 0.125 is the mode: infinite there
+                ScaledBeta(0.0, 1.0, alpha=2.0, beta=8.0),
+                lambda x: oracles.beta_cdf(x, 0, 1, 2, 8),
+                (0.0, 0.1, 0.125, 0.5),
+            ),
+            (
+                # a unit shape at lo: the density starts from 4/3 there
+                ScaledBeta(-1.0, 3.0, alpha=1.0, beta=2.5),
+                lambda x: oracles.beta_cdf(x, -1, 3, 1, 2.5),
+                (-1.0, 0.0, 2.9),
+            ),
+            (
+                # a unit shape at hi
+                ScaledBeta(-1.0, 3.0, alpha=3.0, beta=1.0),
+                lambda x: oracles.beta_cdf(x, -1, 3, 3, 1),
+                (0.5, 3.0),
+            ),
+            (ScaledBeta(0.0, 2.0), lambda x: oracles.beta_cdf(x, 0, 2, 1, 1), (0.0, 1.2, 2.0)),
         ],
-        ids=["uniform", "linear", "exponential", "exponential_convex", "log_wealth", "piecewise_linear"],
+        ids=[
+            "uniform", "linear", "exponential", "exponential_convex", "log_wealth",
+            "piecewise_linear", "triangular", "triangular_lo", "triangular_hi",
+            "gaussian", "gaussian_tail", "scaled_beta",
+            "beta_mode", "beta_unit_lo", "beta_unit_hi", "beta_flat",
+        ],
     )
-    def test_closed_form_matches_density_recipe(self, curve, xs, monkeypatch):
-        closed = [risk_tolerance(curve, x) for x in xs]
-        # without the hook the curve takes the density finite-difference path
-        monkeypatch.setattr(type(curve), "tolerance_at", Curve.tolerance_at)
-        numeric = [risk_tolerance(curve, x) for x in xs]
-        assert closed == [pytest.approx(v, rel=1e-6) for v in numeric]
+    def test_closed_form_matches_density_recipe(self, curve, cdf, xs):
+        # -C'/C'' of an independent CDF, to 1e-12 relative: infinite where
+        # C'' is 0, and positive 0.0 at an end where the density starts
+        # from 0; a Python float with no warning either way. An end where
+        # C' and C'' both vanish is 0/0 to the oracle:
+        # test_zero_density_end_is_positive_zero pins those
+        for x in xs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = risk_tolerance(curve, x)
+            want = _oracle_tolerance(cdf, x, curve.lo, curve.hi)
+            assert type(got) is float
+            if abs(want) > 1e15 * curve.span:
+                assert got == math.inf, x
+            elif abs(want) < 1e-15 * curve.span:
+                assert got == 0.0 and math.copysign(1.0, got) == 1.0, x
+            else:
+                assert abs(got - want) <= 1e-12 * abs(want), (x, got, want)
 
-    @pytest.mark.parametrize(
-        "U,x,want",
-        [
-            # -U'/U'' = scale^2 / (x - center)
-            (TruncatedGaussian(0.0, 1.0, center=0.8, scale=0.4), 0.3, 0.4**2 / (0.3 - 0.8)),
-            # density 12 x (1-x)^2
-            (ScaledBeta(0.0, 1.0, alpha=2.0, beta=3.0), 0.2, -0.2 * 0.8 / (1.0 - 3.0 * 0.2)),
-            # density 4x left of the mode
-            (Triangular(0.0, 1.0), 0.25, -0.25),
-        ],
-        ids=["truncated_gaussian", "scaled_beta", "triangular"],
-    )
-    def test_finite_difference_utility_matches_closed_form(self, U, x, want):
-        assert risk_tolerance(U, x) == pytest.approx(want, rel=1e-8)
+    def test_every_density_kind_has_a_closed_form(self):
+        kinds = [cls for cls in CURVE_KINDS.values() if cls is not Step]
+        assert len(kinds) == 8
+        assert all(cls.tolerance_at is not Curve.tolerance_at for cls in kinds)
+        with pytest.raises(NotImplementedError):
+            Curve(0.0, 1.0).tolerance_at(0.5)
 
     def test_log_wealth_spread_tolerance_is_exact(self):
         F = LogWealth(0.0, 10.0, wealth=2.5)

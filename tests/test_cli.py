@@ -146,6 +146,13 @@ class TestEval:
         assert code == 3
         assert "panel cap" in capsys.readouterr().err
 
+    def test_numeric_failure_names_its_cell(self, tmp_path, capsys):
+        lotteries = [BASIC["lotteries"][0], {"name": "b9", "kind": "scaled_beta", "alpha": 1e9, "beta": 1e9}]
+        obj = dict(BASIC, lotteries=lotteries, utilities=[{"name": "lin", "kind": "linear"}])
+        code, _ = run("eval", "--scenario", write_scenario(tmp_path, obj))
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: cell (1, 0): panel cap")
+
 
 class TestSweep:
     def test_explicit_gammas(self, tmp_path):

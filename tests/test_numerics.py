@@ -1,4 +1,4 @@
-"""Quadrature, root finding, difference stencils, cumulants."""
+"""Quadrature, root finding, cumulants."""
 
 import json
 import math
@@ -26,7 +26,6 @@ from aspeq.numerics import (
     QuadratureError,
     QuadratureSpec,
     RootBracket,
-    central_difference,
     cumulants,
     find_root,
     fixed_rule,
@@ -184,28 +183,6 @@ class TestFindRoot:
         g = lambda x: math.tanh(50.0 * (x - 0.8)) + 0.5
         r = find_root(g, RootBracket(0.0, 1.0))
         assert abs(g(r)) <= 1e-10
-
-
-class TestDifferences:
-    def test_first_derivative_interior(self):
-        d = central_difference(math.exp, 1.0)
-        assert d == pytest.approx(math.e, rel=1e-7)
-
-    def test_first_derivative_near_boundary(self):
-        # one-sided stencil engages; still consistent
-        d = central_difference(lambda x: x**3, 0.0, bounds=(0.0, 1.0))
-        assert d == pytest.approx(0.0, abs=1e-6)
-
-    def test_first_derivative_near_upper_bound(self):
-        # the backward stencil samples only below x
-        seen = []
-        d = central_difference(lambda x: seen.append(x) or x**3, 1.0, bounds=(0.0, 1.0))
-        assert d == pytest.approx(3.0, rel=1e-9)
-        assert max(seen) == 1.0
-
-    def test_point_outside_bounds_refused(self):
-        with pytest.raises(ValueError, match=r"x=1\.5 outside bounds \[0\.0, 1\.0\]"):
-            central_difference(math.exp, 1.5, bounds=(0.0, 1.0))
 
 
 class TestCumulants:

@@ -21,7 +21,7 @@ from aspeq import (
     find_pure_saddle,
     saddle_allocate,
 )
-from aspeq.numerics import QuadratureError, QuadratureSpec
+from aspeq.numerics import NumericsError, QuadratureError, QuadratureSpec
 
 LOTS = [
     ScaledBeta(0.0, 1.0, alpha=2.0, beta=8.0),
@@ -66,8 +66,8 @@ def _reference_matrix(lotteries, utilities, spec=None):
         for j, u in enumerate(utilities):
             try:
                 r = evaluate_pair(f, u, spec)
-            except DomainMismatchError as exc:
-                return DomainMismatchError, f"cell ({i}, {j}): {exc}"
+            except (DomainMismatchError, NumericsError) as exc:
+                return type(exc), f"cell ({i}, {j}): {exc}"
             except Exception as exc:
                 return type(exc), str(exc)
             row.append((r.expected_utility, r.expected_disutility, r.certain_equivalent, r.aspiration_equivalent))
