@@ -33,7 +33,7 @@ import numpy as np
 
 from .curves import Curve, SingularDensityError, StepFunctionError
 from .duality import PairBatch, aspiration_equivalent, certain_equivalent
-from .numerics import MAX_CUMULANT_ORDER, QuadratureSpec, cumulants, integrate, merge_knots
+from .numerics import MAX_CUMULANT_ORDER, QuadratureSpec, cumulants, integrate
 
 KINK_GUARD = 2.0
 
@@ -183,9 +183,8 @@ def ae_cumulant_series(
     lam = F.gamma
     lo, hi = F.lo, F.hi
     # an exponential lottery has no kinks: F.cuts are its sample hints
-    knots = merge_knots(U.cuts, F.cuts)
     expectation = integrate(
-        lambda x: U.density(x) * np.exp(-lam * (x - lo)), lo, hi, spec, knots
+        lambda x: U.density(x) * np.exp(-lam * (x - lo)), lo, hi, spec, U.cuts + F.cuts
     )
     closed = lo - math.log(expectation) / lam
     kappa = cumulants(U.density, lo, hi, terms, spec, U.cuts)

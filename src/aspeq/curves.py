@@ -27,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import betainc, betaincinv, betaln, ndtr, ndtri, xlog1py, xlogy
 
-from .numerics import QuadratureSpec, cumulants, merge_knots
+from .numerics import QuadratureSpec, cumulants
 
 
 class CurveError(Exception):
@@ -146,8 +146,8 @@ class Curve:
     @functools.cached_property
     def cuts(self) -> tuple[float, ...]:
         """Where quadrature over this curve cuts its opening panels: the
-        kinks and sample hints, merged once per curve."""
-        return merge_knots(self.kinks(), self.sample_hints())
+        kinks and sample hints as floats, sorted once per curve."""
+        return tuple(sorted({*map(float, self.kinks()), *map(float, self.sample_hints())}))
 
     def tolerance_at(self, x: float) -> float:
         """-C'(x)/C''(x) in closed form: math.inf where the curve is

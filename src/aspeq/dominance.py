@@ -30,7 +30,7 @@ import numpy as np
 
 from .curves import Curve, StepFunctionError
 from .duality import DomainMismatchError, PairBatch, exponential_or_linear
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate, merge_knots
+from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate
 
 GRID_TOLERANCE = 1e-9
 DEFAULT_GRID = 2048
@@ -114,7 +114,7 @@ def _on_grid(
     if grid_points < MIN_GRID:
         raise ValueError(f"grid_points must be at least {MIN_GRID}, got {grid_points}")
     xs = np.linspace(A.lo, A.hi, grid_points)
-    knots = merge_knots(A.kinks(), B.kinks())
+    knots = (*A.kinks(), *B.kinks())
     if knots:
         xs = np.unique(np.concatenate([xs, np.asarray(knots)]))
     return xs, A.value(xs), B.value(xs)

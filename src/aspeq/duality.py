@@ -52,7 +52,6 @@ from .numerics import (
     find_root,
     fixed_rule,
     integrate_many,
-    merge_knots,
 )
 
 
@@ -94,7 +93,8 @@ def _pair_job(lottery: Curve, utility: Curve, role: str) -> float | tuple:
     its quadrature: a step shortcut's value, or the (integrand, lo, hi,
     knots) job to integrate, whose integrand is the Product of the
     weight's density and the curve's value, so that a batch calls each
-    curve's kernels once per round for every pair it is in.
+    curve's kernels once per round for every pair it is in. The knots are
+    the two curves' cuts joined as they are; integrate_many orders them.
 
     Both integrate one curve's density (the weight) times the other's
     value over the shared interval: EU weights the utility by the
@@ -118,8 +118,7 @@ def _pair_job(lottery: Curve, utility: Curve, role: str) -> float | tuple:
             "is not integrated directly; the role-swapped integral (expected_utility "
             "<-> expected_disutility) integrates its bounded CDF instead."
         )
-    knots = merge_knots(weight.cuts, curve.cuts)
-    return (Product(weight.density, curve.value), weight.lo, weight.hi, knots)
+    return (Product(weight.density, curve.value), weight.lo, weight.hi, weight.cuts + curve.cuts)
 
 
 class PairBatch:

@@ -243,7 +243,8 @@ class _Integrands:
 
 def _opening(lo: float, hi: float, knots: Iterable[float]) -> list[float]:
     """Cut points of the opening panels, one panel per knot interval; none
-    for an empty interval."""
+    for an empty interval. The one place a job's knots are ordered: they
+    may come in any order, with repeats, and may lie outside (lo, hi)."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration limits must be finite")
     if hi < lo:
@@ -292,7 +293,8 @@ def integrate(
 
     knots lists interior points where f or a derivative may jump; the
     interval opens with one 15-node panel per piece between them, and no
-    node sits on a knot. Knots outside the open interval are ignored.
+    node sits on a knot. They may come in any order and with repeats;
+    knots outside the open interval are ignored.
     """
     (outcome,) = integrate_many([(f, lo, hi, knots)], spec)
     if isinstance(outcome, Exception):
@@ -605,9 +607,3 @@ def cumulants(
             acc -= math.comb(n - 1, j - 1) * kappa[j - 1] * moments[n - j]
         kappa.append(acc)
     return tuple(kappa)
-
-
-def merge_knots(*groups: Sequence[float]) -> tuple[float, ...]:
-    """Union of knot lists, sorted, duplicates removed."""
-    seen = sorted(set(float(k) for group in groups for k in group))
-    return tuple(seen)

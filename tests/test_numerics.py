@@ -31,7 +31,6 @@ from aspeq.numerics import (
     fixed_rule,
     integrate,
     integrate_many,
-    merge_knots,
 )
 
 
@@ -288,11 +287,6 @@ class TestCumulantsBatch:
         assert _raised(cumulants, density, lo, hi, 6) == want
 
 
-def test_merge_knots():
-    assert merge_knots((0.5,), (0.25, 0.5), ()) == (0.25, 0.5)
-    assert merge_knots() == ()
-
-
 def test_fixed_rule():
     # 4 Kronrod panels on each piece between knots: exact for a degree-22
     # polynomial, with no node on a knot or an end; knots outside are ignored
@@ -513,6 +507,23 @@ class TestIntegrateMany:
         with pytest.raises(QuadratureError, match=r"depth exhausted on \[0\.0, 0\.00390625\]"):
             integrate(f, 0.0, 1.0, QuadratureSpec(max_subdivision_depth=8))
         assert len(calls) == 9
+
+    def test_knot_order_does_not_matter(self):
+        # the conftest pair jobs with their knots shuffled, each given
+        # twice and padded with the ends and points past them give the
+        # bits of the same jobs with sorted, unique knots inside (lo, hi)
+        from conftest import smooth_lotteries, smooth_utilities
+
+        rng = np.random.default_rng(0)
+        pairs = product(smooth_lotteries(), smooth_utilities(), ("eu", "edu"))
+        tidy, messy = [], []
+        for f, lo, hi, knots in (_pair_job(*pair) for pair in pairs):
+            inside = sorted({k for k in knots if lo < k < hi})
+            padded = [*inside, *inside, lo, hi, lo - 1.0, hi + 1.0, 2.0 * hi - lo + 5.0]
+            tidy.append((f, lo, hi, tuple(inside)))
+            messy.append((f, lo, hi, tuple(rng.permutation(padded).tolist())))
+        assert any(job[3] for job in tidy)
+        assert [_bits(r) for r in integrate_many(messy)] == [_bits(r) for r in integrate_many(tidy)]
 
     def test_bad_limits_and_integrand_errors_are_outcomes(self):
         def broken(xs):
